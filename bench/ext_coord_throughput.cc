@@ -9,7 +9,7 @@
 // is byte-identical to single-node, so the delta is pure coordination
 // cost). A final saturation phase throttles the shard fleet
 // (max_inflight=1) and hammers the router: shard OVERLOADED sheds surface
-// as partial merges (v4 trailer partial=1, counted by
+// as partial merges (coordinator trailer partial=1, counted by
 // mbr_coord_partial_total), never as client failures.
 //
 // Output: a human-readable table on stdout plus BENCH_coord.json.

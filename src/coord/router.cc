@@ -81,7 +81,6 @@ Router::Router(const ShardPlan& plan, const RouterConfig& config)
     net::ClientConfig c = config_.shard_client;
     c.host = plan_.endpoints()[s].host;
     c.port = static_cast<uint16_t>(plan_.endpoints()[s].port);
-    c.protocol_version = net::kProtocolVersion;  // shards always speak v5
     c.request_timeout_ms = config_.shard_timeout_ms;
     endpoints.push_back(std::move(c));
   }
@@ -206,53 +205,40 @@ void Router::ServeConnection(int fd) {
 }
 
 bool Router::QueueError(net::Connection* conn, uint64_t request_id,
-                        uint16_t version, net::WireError code,
-                        const std::string& message) {
+                        net::WireError code, const std::string& message) {
   std::vector<uint8_t> payload = net::EncodeError({code, message});
-  return conn->QueueReply(net::MessageKind::kError, request_id, payload,
-                          version);
+  return conn->QueueReply(net::MessageKind::kError, request_id, payload);
 }
 
 bool Router::HandleClientFrame(net::Connection* conn,
                                const net::Connection::Frame& frame) {
   const net::FrameHeader& h = frame.header;
-  if (h.version < net::kMinProtocolVersion ||
-      h.version > net::kProtocolVersion) {
-    QueueError(conn, h.request_id, net::kProtocolVersion,
-               net::WireError::kUnsupportedVersion,
-               "router speaks protocol v" +
-                   std::to_string(net::kMinProtocolVersion) + "-v" +
-                   std::to_string(net::kProtocolVersion) +
-                   ", client sent v" + std::to_string(h.version));
+  if (util::Status st = net::CheckFrameVersion(h); !st.ok()) {
+    QueueError(conn, h.request_id, net::WireError::kUnsupportedVersion,
+               st.message());
     return false;
   }
   if (util::Status st = net::VerifyPayloadCrc(h, frame.payload); !st.ok()) {
-    return QueueError(conn, h.request_id, h.version,
-                      net::WireError::kBadFrame, st.message());
+    return QueueError(conn, h.request_id, net::WireError::kBadFrame,
+                      st.message());
   }
 
   switch (h.kind) {
     case net::MessageKind::kPing:
-      return conn->QueueReply(net::MessageKind::kPong, h.request_id, {},
-                              h.version);
+      return conn->QueueReply(net::MessageKind::kPong, h.request_id, {});
     case net::MessageKind::kShutdown: {
       bool ok = conn->QueueReply(net::MessageKind::kShutdownAck,
-                                 h.request_id, {}, h.version);
+                                 h.request_id, {});
       RequestStop();
       return ok && false;  // close this connection after the ack flushes
     }
     case net::MessageKind::kStats: {
       service::StatsSnapshot s = RollupStats();
-      std::vector<uint8_t> payload = net::EncodeStats(s, h.version);
+      std::vector<uint8_t> payload = net::EncodeStats(s);
       return conn->QueueReply(net::MessageKind::kStatsResult, h.request_id,
-                              payload, h.version);
+                              payload);
     }
     case net::MessageKind::kMetrics: {
-      if (h.version < 2) {
-        return QueueError(conn, h.request_id, h.version,
-                          net::WireError::kUnknownKind,
-                          "METRICS requires protocol v2");
-      }
       std::string text = obs::RenderPrometheus(*registry_);
       if (text.size() + 4 > config_.limits.max_payload_bytes) {
         text.resize(config_.limits.max_payload_bytes > 4
@@ -263,31 +249,23 @@ bool Router::HandleClientFrame(net::Connection* conn,
       }
       std::vector<uint8_t> payload = net::EncodeMetricsResult(text);
       return conn->QueueReply(net::MessageKind::kMetricsResult, h.request_id,
-                              payload, h.version);
+                              payload);
     }
     case net::MessageKind::kFollow:
     case net::MessageKind::kUnfollow:
     case net::MessageKind::kRelabel:
-      if (h.version < 3) {
-        return QueueError(conn, h.request_id, h.version,
-                          net::WireError::kUnknownKind,
-                          "mutation ops require protocol v3");
-      }
-      return QueueError(conn, h.request_id, h.version,
-                        net::WireError::kInvalidArgument,
+      return QueueError(conn, h.request_id, net::WireError::kInvalidArgument,
                         "the partitioned tier serves read-only "
                         "(mutations are not routed)");
     case net::MessageKind::kRecommendPartial:
     case net::MessageKind::kLandmarkFetch:
-      return QueueError(conn, h.request_id, h.version,
-                        net::WireError::kInvalidArgument,
+      return QueueError(conn, h.request_id, net::WireError::kInvalidArgument,
                         "shard ops are answered by shards, not the router");
     case net::MessageKind::kRecommend:
     case net::MessageKind::kRecommendBatch:
       break;
     default:
-      return QueueError(conn, h.request_id, h.version,
-                        net::WireError::kUnknownKind,
+      return QueueError(conn, h.request_id, net::WireError::kUnknownKind,
                         "unhandled message kind " +
                             std::to_string(static_cast<uint16_t>(h.kind)));
   }
@@ -295,42 +273,34 @@ bool Router::HandleClientFrame(net::Connection* conn,
   std::vector<net::RecommendRequest> decoded;
   if (h.kind == net::MessageKind::kRecommend) {
     net::RecommendRequest r;
-    if (util::Status st = net::DecodeRecommend(frame.payload, config_.limits,
-                                               h.version, &r);
+    if (util::Status st =
+            net::DecodeRecommend(frame.payload, config_.limits, &r);
         !st.ok()) {
-      return QueueError(conn, h.request_id, h.version,
-                        net::WireError::kBadFrame, st.message());
+      return QueueError(conn, h.request_id, net::WireError::kBadFrame,
+                        st.message());
     }
     decoded.push_back(std::move(r));
   } else {
-    if (util::Status st = net::DecodeRecommendBatch(
-            frame.payload, config_.limits, h.version, &decoded);
+    if (util::Status st =
+            net::DecodeRecommendBatch(frame.payload, config_.limits, &decoded);
         !st.ok()) {
-      return QueueError(conn, h.request_id, h.version,
-                        net::WireError::kBadFrame, st.message());
+      return QueueError(conn, h.request_id, net::WireError::kBadFrame,
+                        st.message());
     }
   }
   // Same admission checks a single-node server applies: bounds against the
   // plan's universe, worst-case reply size against the frame cap.
-  const size_t per_list_overhead =
-      h.version >= 5 ? 13 : h.version >= 3 ? 12 : 4;
-  size_t reply_bytes =
-      4 + (h.version >= 4 ? net::kCoordTrailerBytes : 0);
   for (const net::RecommendRequest& r : decoded) {
     if (r.user >= plan_.num_nodes() || r.topic >= plan_.num_topics()) {
-      return QueueError(
-          conn, h.request_id, h.version, net::WireError::kInvalidArgument,
+      return QueueError(conn, h.request_id, net::WireError::kInvalidArgument,
           "query out of range: user " + std::to_string(r.user) + " (nodes " +
               std::to_string(plan_.num_nodes()) + "), topic " +
               std::to_string(r.topic) + " (topics " +
               std::to_string(plan_.num_topics()) + ")");
     }
-    reply_bytes += per_list_overhead +
-                   static_cast<size_t>(r.top_n) * net::kResultEntryBytes;
   }
-  if (reply_bytes > config_.limits.max_payload_bytes) {
-    return QueueError(conn, h.request_id, h.version,
-                      net::WireError::kInvalidArgument,
+  if (net::MaxResultPayloadBytes(decoded) > config_.limits.max_payload_bytes) {
+    return QueueError(conn, h.request_id, net::WireError::kInvalidArgument,
                       "reply would exceed the " +
                           std::to_string(config_.limits.max_payload_bytes) +
                           "-byte frame payload cap");
@@ -350,7 +320,7 @@ bool Router::HandleClientFrame(net::Connection* conn,
               : code == util::StatusCode::kInvalidArgument
                     ? net::WireError::kInvalidArgument
                     : net::WireError::kInternal;
-      return QueueError(conn, h.request_id, h.version, wire,
+      return QueueError(conn, h.request_id, wire,
                         one.status().message());
     }
     routed.push_back(std::move(*one));
@@ -358,11 +328,9 @@ bool Router::HandleClientFrame(net::Connection* conn,
 
   if (h.kind == net::MessageKind::kRecommend) {
     Routed& one = routed.front();
-    std::vector<uint8_t> payload =
-        net::EncodeResult(one.entries, one.graph_epoch, h.version, one.coord,
-                          one.served_tier);
-    return conn->QueueReply(net::MessageKind::kResult, h.request_id, payload,
-                            h.version);
+    std::vector<uint8_t> payload = net::EncodeResult(
+        one.entries, one.graph_epoch, one.coord, one.served_tier);
+    return conn->QueueReply(net::MessageKind::kResult, h.request_id, payload);
   }
   std::vector<net::RankedList> lists;
   std::vector<uint64_t> epochs;
@@ -385,9 +353,9 @@ bool Router::HandleClientFrame(net::Connection* conn,
     lists.push_back(std::move(one.entries));
   }
   std::vector<uint8_t> payload =
-      net::EncodeResultBatch(lists, epochs, h.version, coord, tiers);
+      net::EncodeResultBatch(lists, epochs, coord, tiers);
   return conn->QueueReply(net::MessageKind::kResultBatch, h.request_id,
-                          payload, h.version);
+                          payload);
 }
 
 template <typename Fn>

@@ -4,7 +4,7 @@
 // The coordinator/router tier (DESIGN.md §6.7): one process that makes N
 // `mbrec serve --shard <i>` processes look like a single recommender.
 //
-// Clients speak the ordinary v1–v4 protocol to the router (RECOMMEND,
+// Clients speak the ordinary wire protocol to the router (RECOMMEND,
 // RECOMMEND_BATCH, STATS, METRICS, PING, SHUTDOWN); the router
 // scatter-gathers over the shard fleet through a pooled net::Client set
 // and merges shard answers so the routed reply is **byte-identical** to
@@ -27,21 +27,20 @@
 // Partial-result policy: each shard call gets a deadline derived from the
 // client deadline (min with shard_timeout_ms). A shard that is down,
 // overloaded, or times out degrades the reply to a *partial* merge — the
-// v4 trailer carries partial=1 and the answered/total shard counts, and
-// mbr_coord_partial_total is bumped — rather than failing or hanging the
-// client (`degrade_partial = false` turns that loss into an ERROR
-// instead, for deployments that prefer failing fast over partial
+// coordinator trailer carries partial=1 and the answered/total shard
+// counts, and mbr_coord_partial_total is bumped — rather than failing or
+// hanging the client (`degrade_partial = false` turns that loss into an
+// ERROR instead, for deployments that prefer failing fast over partial
 // answers). Errors a single-node server would return for the same query
 // (DEADLINE_EXCEEDED, INVALID_ARGUMENT) are relayed as ERROR unchanged.
 // Mutations are rejected: the partitioned tier serves read-only.
 //
-// Tier merge (protocol v5): every shard reply names the degradation-
-// ladder tier that served it, and the routed reply carries the *max*
-// (most degraded) tier over the shard replies that fed it — a pressured
-// shard degrades the whole routed answer, composing with (but orthogonal
-// to) the v4 partial trailer. In landmark mode the merged ranking is the
-// landmark approximation by construction, so the routed tier is at least
-// kApprox.
+// Tier merge: every shard reply names the degradation-ladder tier that
+// served it, and the routed reply carries the *max* (most degraded) tier
+// over the shard replies that fed it — a pressured shard degrades the
+// whole routed answer, composing with (but orthogonal to) the partial
+// trailer. In landmark mode the merged ranking is the landmark
+// approximation by construction, so the routed tier is at least kApprox.
 
 #include <atomic>
 #include <cstdint>
@@ -80,7 +79,7 @@ struct RouterConfig {
   bool degrade_partial = true;
   net::WireLimits limits;
   // Template for the per-shard client connections (timeouts, reconnect
-  // backoff). host/port/protocol_version are overwritten per shard.
+  // backoff). host/port/request_timeout_ms are overwritten per shard.
   net::ClientConfig shard_client;
   // mbr_coord_* series registry. nullptr = router-owned private registry.
   obs::Registry* registry = nullptr;
@@ -133,8 +132,7 @@ class Router {
   bool HandleClientFrame(net::Connection* conn,
                          const net::Connection::Frame& frame);
   bool QueueError(net::Connection* conn, uint64_t request_id,
-                  uint16_t version, net::WireError code,
-                  const std::string& message);
+                  net::WireError code, const std::string& message);
 
   util::Result<Routed> RouteOne(const net::RecommendRequest& req);
   util::Result<Routed> RouteLandmark(const net::RecommendRequest& req,

@@ -195,13 +195,34 @@ Client& Client::operator=(Client&& other) noexcept {
 
 util::Result<Client::Reply> Client::RoundTrip(
     MessageKind kind, std::span<const uint8_t> payload) {
-  if (fd_ < 0) return util::Status::FailedPrecondition("client moved-from");
+  if (fd_ < 0) return util::Status::Unavailable("client connection is closed");
+  util::Result<Reply> reply = Exchange(kind, payload);
+  if (!reply.ok()) {
+    // The stream may still hold a partial or unread frame; reading on
+    // would hand this call's reply to the next one.
+    ::close(fd_);
+    fd_ = -1;
+    return reply.status();
+  }
+  if (reply->header.kind == MessageKind::kError) {
+    ErrorReply err;
+    MBR_RETURN_IF_ERROR(DecodeError(reply->payload, config_.limits, &err));
+    return ErrorReplyToStatus(err);
+  }
+  if (reply->header.kind == MessageKind::kOverloaded) {
+    return util::Status::Unavailable("server overloaded: request shed");
+  }
+  return reply;
+}
+
+util::Result<Client::Reply> Client::Exchange(
+    MessageKind kind, std::span<const uint8_t> payload) {
   const uint64_t request_id = next_request_id_++;
   const auto deadline =
       Clock::now() + std::chrono::milliseconds(config_.request_timeout_ms);
 
   std::vector<uint8_t> frame;
-  AppendFrame(kind, request_id, payload, &frame, config_.protocol_version);
+  AppendFrame(kind, request_id, payload, &frame);
   MBR_RETURN_IF_ERROR(SendAll(fd_, frame, deadline));
 
   uint8_t header_buf[kFrameHeaderBytes];
@@ -216,15 +237,7 @@ util::Result<Client::Reply> Client::RoundTrip(
     case HeaderParse::kMalformed:
       return util::Status::Internal("malformed reply frame from server");
   }
-  // The server echoes the request's version; anything else means the
-  // reply payload would be decoded with the wrong layout.
-  if (reply.header.version != config_.protocol_version &&
-      reply.header.kind != MessageKind::kError) {
-    return util::Status::Internal(
-        "server replied with protocol v" +
-        std::to_string(reply.header.version) + ", client speaks v" +
-        std::to_string(config_.protocol_version));
-  }
+  MBR_RETURN_IF_ERROR(CheckFrameVersion(reply.header));
   reply.payload.resize(reply.header.payload_len);
   MBR_RETURN_IF_ERROR(RecvExactly(fd_, reply.payload.data(),
                                   reply.payload.size(), deadline));
@@ -233,15 +246,6 @@ util::Result<Client::Reply> Client::RoundTrip(
     return util::Status::Internal("reply for request " +
                                   std::to_string(reply.header.request_id) +
                                   ", expected " + std::to_string(request_id));
-  }
-
-  if (reply.header.kind == MessageKind::kError) {
-    ErrorReply err;
-    MBR_RETURN_IF_ERROR(DecodeError(reply.payload, config_.limits, &err));
-    return ErrorReplyToStatus(err);
-  }
-  if (reply.header.kind == MessageKind::kOverloaded) {
-    return util::Status::Unavailable("server overloaded: request shed");
   }
   return reply;
 }
@@ -262,8 +266,7 @@ util::Result<RankedList> Client::Recommend(const RecommendRequest& req) {
 }
 
 util::Result<ResultReply> Client::RecommendEx(const RecommendRequest& req) {
-  auto reply = RoundTrip(MessageKind::kRecommend,
-                         EncodeRecommend(req, config_.protocol_version));
+  auto reply = RoundTrip(MessageKind::kRecommend, EncodeRecommend(req));
   if (!reply.ok()) return reply.status();
   if (reply->header.kind != MessageKind::kResult) {
     return util::Status::Internal(
@@ -272,8 +275,7 @@ util::Result<ResultReply> Client::RecommendEx(const RecommendRequest& req) {
   }
   ResultReply out;
   MBR_RETURN_IF_ERROR(DecodeResult(reply->payload, config_.limits,
-                                   config_.protocol_version, &out.entries,
-                                   &out.graph_epoch, &out.coord,
+                                   &out.entries, &out.graph_epoch, &out.coord,
                                    &out.served_tier));
   return out;
 }
@@ -292,9 +294,8 @@ util::Result<std::vector<RankedList>> Client::RecommendBatch(
 
 util::Result<std::vector<ResultReply>> Client::RecommendBatchEx(
     const std::vector<RecommendRequest>& queries) {
-  auto reply = RoundTrip(
-      MessageKind::kRecommendBatch,
-      EncodeRecommendBatch(queries, config_.protocol_version));
+  auto reply =
+      RoundTrip(MessageKind::kRecommendBatch, EncodeRecommendBatch(queries));
   if (!reply.ok()) return reply.status();
   if (reply->header.kind != MessageKind::kResultBatch) {
     return util::Status::Internal(
@@ -306,8 +307,7 @@ util::Result<std::vector<ResultReply>> Client::RecommendBatchEx(
   std::vector<uint8_t> tiers;
   CoordTrailer coord;
   MBR_RETURN_IF_ERROR(DecodeResultBatch(reply->payload, config_.limits,
-                                        config_.protocol_version, &lists,
-                                        &epochs, &coord, &tiers));
+                                        &lists, &epochs, &coord, &tiers));
   if (lists.size() != queries.size()) {
     return util::Status::Internal(
         "server answered " + std::to_string(lists.size()) + " lists for " +
@@ -325,13 +325,8 @@ util::Result<std::vector<ResultReply>> Client::RecommendBatchEx(
 
 util::Result<PartialReply> Client::RecommendPartial(
     const RecommendRequest& req) {
-  if (config_.protocol_version < 4) {
-    return util::Status::FailedPrecondition(
-        "RECOMMEND_PARTIAL requires protocol v4; this client speaks v" +
-        std::to_string(config_.protocol_version));
-  }
-  auto reply = RoundTrip(MessageKind::kRecommendPartial,
-                         EncodeRecommend(req, config_.protocol_version));
+  auto reply =
+      RoundTrip(MessageKind::kRecommendPartial, EncodeRecommend(req));
   if (!reply.ok()) return reply.status();
   if (reply->header.kind != MessageKind::kPartialResult) {
     return util::Status::Internal(
@@ -346,11 +341,6 @@ util::Result<PartialReply> Client::RecommendPartial(
 
 util::Result<LandmarkVectorsReply> Client::FetchLandmarks(
     uint32_t topic, const std::vector<uint32_t>& landmarks) {
-  if (config_.protocol_version < 4) {
-    return util::Status::FailedPrecondition(
-        "LANDMARK_FETCH requires protocol v4; this client speaks v" +
-        std::to_string(config_.protocol_version));
-  }
   LandmarkFetchRequest req;
   req.topic = topic;
   req.landmarks = landmarks;
@@ -372,11 +362,6 @@ util::Result<MutateAck> Client::Mutate(
     MessageKind kind, const std::vector<MutationRecord>& records) {
   if (!IsMutationKind(kind)) {
     return util::Status::InvalidArgument("not a mutation kind");
-  }
-  if (config_.protocol_version < 3) {
-    return util::Status::FailedPrecondition(
-        "mutation ops require protocol v3; this client speaks v" +
-        std::to_string(config_.protocol_version));
   }
   auto reply = RoundTrip(kind, EncodeMutation(kind, records));
   if (!reply.ok()) return reply.status();
@@ -414,17 +399,11 @@ util::Result<service::StatsSnapshot> Client::Stats() {
         MessageKindName(reply->header.kind));
   }
   service::StatsSnapshot s;
-  MBR_RETURN_IF_ERROR(
-      DecodeStats(reply->payload, config_.protocol_version, &s));
+  MBR_RETURN_IF_ERROR(DecodeStats(reply->payload, &s));
   return s;
 }
 
 util::Result<std::string> Client::Metrics() {
-  if (config_.protocol_version < 2) {
-    return util::Status::FailedPrecondition(
-        "METRICS requires protocol v2; this client speaks v" +
-        std::to_string(config_.protocol_version));
-  }
   auto reply = RoundTrip(MessageKind::kMetrics, {});
   if (!reply.ok()) return reply.status();
   if (reply->header.kind != MessageKind::kMetricsResult) {

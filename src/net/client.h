@@ -12,6 +12,13 @@
 // ErrorReplyToStatus, and an OVERLOADED shed maps to
 // StatusCode::kUnavailable so callers can retry-with-backoff on exactly
 // that code.
+//
+// A round trip that fails part-way through a frame — a send or receive
+// that times out or ends short, a malformed or wrongly-versioned header, a
+// reply for another request — closes the connection, because the stream
+// can no longer be trusted to be frame-aligned. Every later call on that
+// Client fails with kUnavailable; reconnect to continue. ERROR and
+// OVERLOADED replies arrive as whole frames and keep the connection.
 
 #include <cstdint>
 #include <string>
@@ -28,10 +35,6 @@ struct ClientConfig {
   uint16_t port = 0;
   uint32_t connect_timeout_ms = 2000;
   uint32_t request_timeout_ms = 10000;
-  // Protocol version to speak, in [kMinProtocolVersion, kProtocolVersion].
-  // Drop to 1 to talk like a pre-v2 client (no deadline_ms/exclude on the
-  // wire, no METRICS op); the server echoes whichever version we send.
-  uint16_t protocol_version = kProtocolVersion;
   WireLimits limits;
 
   // Connect retry policy: up to `connect_attempts` tries, re-attempted only
@@ -67,12 +70,10 @@ class Client {
   // The ranked top-n for (user, topic); empty list is a valid answer.
   util::Result<RankedList> Recommend(uint32_t user, uint32_t topic,
                                      uint32_t top_n);
-  // Full request form: deadline_ms and exclude travel on the wire when the
-  // client speaks v2 (they are silently dropped at v1).
+  // Full request form: deadline_ms and exclude travel on the wire.
   util::Result<RankedList> Recommend(const RecommendRequest& req);
   // Like Recommend, but also surfaces the graph epoch the ranking was
-  // computed under (v3 field; 0 when the client speaks v1/v2) and the
-  // coordinator trailer (v4 field; defaults when speaking v1-v3).
+  // computed under, the tier that served it and the coordinator trailer.
   util::Result<ResultReply> RecommendEx(const RecommendRequest& req);
   // Order-preserving batched variant (one RECOMMEND_BATCH frame).
   util::Result<std::vector<RankedList>> RecommendBatch(
@@ -80,7 +81,7 @@ class Client {
   // Epoch-carrying batched variant.
   util::Result<std::vector<ResultReply>> RecommendBatchEx(
       const std::vector<RecommendRequest>& queries);
-  // One mutation batch (v3+ only; kind selects FOLLOW/UNFOLLOW/RELABEL).
+  // One mutation batch (kind selects FOLLOW/UNFOLLOW/RELABEL).
   // The ack counts applied vs rejected records and carries the graph epoch
   // after the batch.
   util::Result<MutateAck> Mutate(MessageKind kind,
@@ -89,16 +90,16 @@ class Client {
   util::Result<MutateAck> Unfollow(
       const std::vector<MutationRecord>& records);
   util::Result<MutateAck> Relabel(const std::vector<MutationRecord>& records);
-  // Shard-scoped half of a coordinator query (v4+ only): the decomposed
+  // Shard-scoped half of a coordinator query: the decomposed
   // exploration records for req.user plus the inline stored lists of the
   // landmarks homed on the answering shard.
   util::Result<PartialReply> RecommendPartial(const RecommendRequest& req);
-  // Stored lists of the given landmarks for one topic (v4+ only). The
+  // Stored lists of the given landmarks for one topic. The
   // answering shard returns lists only for landmarks it homes.
   util::Result<LandmarkVectorsReply> FetchLandmarks(
       uint32_t topic, const std::vector<uint32_t>& landmarks);
   util::Result<service::StatsSnapshot> Stats();
-  // Prometheus text exposition of the server's registry (v2+ only).
+  // Prometheus text exposition of the server's registry.
   util::Result<std::string> Metrics();
   util::Status Ping();
   // Asks the server to drain and waits for the acknowledgement.
@@ -117,6 +118,10 @@ class Client {
 
   util::Result<Reply> RoundTrip(MessageKind kind,
                                 std::span<const uint8_t> payload);
+  // Sends one frame and reads its reply frame. Any failure here may leave
+  // a partial or unread frame on the stream.
+  util::Result<Reply> Exchange(MessageKind kind,
+                               std::span<const uint8_t> payload);
 
   int fd_ = -1;
   ClientConfig config_;

@@ -24,37 +24,19 @@
 // error reply or connection close, never UB
 // (tests/net_corruption_test.cc holds a live server to that).
 //
-// Versioning/compat: kProtocolVersion is bumped on any layout change and
-// the frame header carries the version its payload was encoded with.
-// Version history:
-//   v1 — initial protocol (PR 3): RECOMMEND = user/topic/top_n.
-//   v2 — RECOMMEND/RECOMMEND_BATCH gain deadline_ms + exclude list, STATS
-//        gains deadline_exceeded, new METRICS op (Prometheus exposition).
-//   v3 — live graph mutation: new FOLLOW/UNFOLLOW/RELABEL ops answered by
-//        MUTATE_ACK (applied/rejected counts + the graph epoch after the
-//        batch), and RESULT/RESULT_BATCH carry the graph epoch each ranking
-//        was computed under (per-list in the batch: two queries of one
-//        batch may legitimately observe different epochs).
-//   v4 — partitioned serving (DESIGN.md §6.7): shard-scoped
-//        RECOMMEND_PARTIAL answered by PARTIAL_RESULT (the home shard's
-//        exploration records plus the stored lists of locally-homed
-//        landmarks, per Prop. 4's decomposition), LANDMARK_FETCH answered
-//        by LANDMARK_VECTORS (stored lists by landmark id, so only
-//        landmark contributions cross shard boundaries), RESULT/
-//        RESULT_BATCH gain a coordinator trailer (partial flag +
-//        shards answered/total), and STATS gains the coordinator rollup
-//        (shards_total/shards_up).
-//   v5 — degradation ladder (DESIGN.md §6.8): RESULT/RESULT_BATCH carry a
-//        served_tier byte right after the graph epoch (per-list in the
-//        batch — queries of one batch may serve at different tiers), and
-//        STATS appends the per-tier serving counters
-//        (tier_exact/tier_approx/tier_stale/degraded).
-// Servers accept any version in [kMinProtocolVersion, kProtocolVersion],
-// decode payloads by the frame's declared version, and echo that version
-// on the reply — a v1 client keeps working against a v5 server. Versions
-// outside the window get ERROR (UNSUPPORTED_VERSION) naming both; ops
-// newer than the frame's version (METRICS below v2, mutations below v3,
-// shard ops below v4) get ERROR (UNKNOWN_KIND).
+// Versioning: every peer speaks exactly one layout, kProtocolVersion, and
+// stamps it in every frame header. A frame stamped with any other version
+// is refused by CheckFrameVersion — servers and the router answer it with
+// ERROR (UNSUPPORTED_VERSION) naming both versions and close, and a client
+// drops the connection — before any payload field is interpreted. Any
+// layout change bumps kProtocolVersion.
+//
+// The current layout (v5) carries: RECOMMEND / RECOMMEND_BATCH with a
+// deadline and an exclusion list; RESULT / RESULT_BATCH with the graph
+// epoch and served tier of every list plus a coordinator trailer; live
+// graph mutations (FOLLOW / UNFOLLOW / RELABEL answered by MUTATE_ACK);
+// the shard ops of the coordinator tier (RECOMMEND_PARTIAL /
+// LANDMARK_FETCH, DESIGN.md §6.7); and the METRICS exposition op.
 
 #include <cstdint>
 #include <cstring>
@@ -71,9 +53,6 @@ namespace mbr::net {
 // "MBW1" when the little-endian u32 is viewed as bytes.
 inline constexpr uint32_t kFrameMagic = 0x3157424DU;
 inline constexpr uint16_t kProtocolVersion = 5;
-// Oldest version still decoded; replies are encoded with the request's
-// version so old clients never see fields they don't know.
-inline constexpr uint16_t kMinProtocolVersion = 1;
 inline constexpr size_t kFrameHeaderBytes = 24;
 
 enum class MessageKind : uint16_t {
@@ -83,14 +62,14 @@ enum class MessageKind : uint16_t {
   kRecommendBatch = 3,
   kStats = 4,
   kShutdown = 5,
-  kMetrics = 6,  // v2+: Prometheus text exposition of the server registry
-  // v3+: live graph mutations; each frame is one ordered batch of records,
+  kMetrics = 6,  // Prometheus text exposition of the server registry
+  // Live graph mutations; each frame is one ordered batch of records,
   // answered with MUTATE_ACK after the batch has been applied (or ERROR if
   // the payload is malformed — a malformed frame never mutates the graph).
   kFollow = 7,
   kUnfollow = 8,
   kRelabel = 9,
-  // v4+: shard-scoped ops used by the coordinator tier (src/coord). A
+  // Shard-scoped ops used by the coordinator tier (src/coord). A
   // RECOMMEND_PARTIAL carries an ordinary RECOMMEND payload and asks the
   // user's home shard for the Prop.-4 decomposition of the query instead
   // of a merged ranking; LANDMARK_FETCH asks a shard for the stored lists
@@ -105,10 +84,10 @@ enum class MessageKind : uint16_t {
   kShutdownAck = 68,
   kError = 69,
   kOverloaded = 70,
-  kMetricsResult = 71,  // v2+
-  kMutateAck = 72,      // v3+
-  kPartialResult = 73,     // v4+
-  kLandmarkVectors = 74,   // v4+
+  kMetricsResult = 71,
+  kMutateAck = 72,
+  kPartialResult = 73,
+  kLandmarkVectors = 74,
 };
 
 const char* MessageKindName(MessageKind kind);
@@ -124,9 +103,9 @@ struct WireLimits {
   uint32_t max_batch = 4096;              // queries per RECOMMEND_BATCH
   uint32_t max_list = 4096;               // entries per ranked list / top_n
   uint32_t max_error_msg = 1024;          // bytes of ERROR message text
-  uint32_t max_exclude = 4096;            // v2: ids per exclusion list
-  uint32_t max_mutations = 4096;          // v3: records per mutation frame
-  uint32_t max_partial = 1u << 16;        // v4: records per PARTIAL_RESULT
+  uint32_t max_exclude = 4096;            // ids per exclusion list
+  uint32_t max_mutations = 4096;          // records per mutation frame
+  uint32_t max_partial = 1u << 16;        // records per PARTIAL_RESULT
 };
 
 struct FrameHeader {
@@ -137,11 +116,10 @@ struct FrameHeader {
   uint32_t payload_crc = 0;
 };
 
-// Appends one complete frame (header + payload) to `out`. `version` is
-// stamped into the header and must match how `payload` was encoded.
+// Appends one complete frame (header + payload, stamped kProtocolVersion)
+// to `out`.
 void AppendFrame(MessageKind kind, uint64_t request_id,
-                 std::span<const uint8_t> payload, std::vector<uint8_t>* out,
-                 uint16_t version = kProtocolVersion);
+                 std::span<const uint8_t> payload, std::vector<uint8_t>* out);
 
 // Incremental header parse over a receive buffer.
 enum class HeaderParse {
@@ -154,6 +132,13 @@ enum class HeaderParse {
 // with a typed ERROR that echoes the request id.
 HeaderParse ParseFrameHeader(std::span<const uint8_t> buf,
                              const WireLimits& limits, FrameHeader* out);
+
+// OK iff the frame is stamped kProtocolVersion; otherwise an
+// InvalidArgument naming both versions. The one version check of every
+// peer: a server or router answers a failure with ERROR
+// (UNSUPPORTED_VERSION) carrying this message, a client drops the
+// connection.
+util::Status CheckFrameVersion(const FrameHeader& header);
 
 // Verifies the payload CRC declared in `header`.
 util::Status VerifyPayloadCrc(const FrameHeader& header,
@@ -222,22 +207,24 @@ struct RecommendRequest {
   uint32_t user = 0;
   uint32_t topic = 0;
   uint32_t top_n = 10;
-  // v2 fields; a v1 peer neither sends nor receives them. deadline_ms = 0
-  // means "no client deadline" (the server still applies its own).
+  // deadline_ms = 0 means "no client deadline" (the server still applies
+  // its own).
   uint32_t deadline_ms = 0;
   std::vector<uint32_t> exclude;
 };
 
-// Wire size of one ranked-list entry (id:u32 + score:f64); used to bound a
-// request's worst-case reply against max_payload_bytes at admission.
+// Wire size of one ranked-list entry (id:u32 + score:f64).
 inline constexpr size_t kResultEntryBytes = 12;
+// Wire size of a ranked list's fixed part: graph_epoch:u64 +
+// served_tier:u8 + entry count:u32.
+inline constexpr size_t kResultListOverheadBytes = 13;
 
 using RankedList = std::vector<util::ScoredId>;
 
-// v4 coordinator trailer on RESULT / RESULT_BATCH: whether the reply was
+// Coordinator trailer on RESULT / RESULT_BATCH: whether the reply was
 // degraded to a partial merge (a shard was down/overloaded/late) and how
 // many shards answered. The defaults describe a single-node reply, which
-// is exactly what a plain server stamps when a v4 client asks it directly.
+// is exactly what a plain server stamps.
 struct CoordTrailer {
   uint8_t partial = 0;
   uint16_t shards_answered = 1;
@@ -247,10 +234,8 @@ struct CoordTrailer {
 inline constexpr size_t kCoordTrailerBytes = 5;
 
 // A decoded RESULT: the ranked list plus the graph epoch it was computed
-// under (v3 field; 0 when decoded at v1/v2), the degradation-ladder tier
-// that served it (v5 field, core::Tier numeric; 0 = exact when decoded
-// below v5), and the coordinator trailer (v4 field; defaults when decoded
-// at v1–v3).
+// under, the degradation-ladder tier that served it (core::Tier numeric),
+// and the coordinator trailer.
 struct ResultReply {
   RankedList entries;
   uint64_t graph_epoch = 0;
@@ -258,9 +243,16 @@ struct ResultReply {
   CoordTrailer coord;
 };
 
-// Highest core::Tier numeric value a v5 served_tier byte may carry;
+// Highest core::Tier numeric value a served_tier byte may carry;
 // decoders reject anything above it.
 inline constexpr uint8_t kMaxServedTier = 2;
+
+// Worst-case RESULT / RESULT_BATCH payload size for `queries` (every list
+// full at top_n), counted as a batch: list-count prefix, trailer, and per
+// list its fixed part plus top_n entries. Servers and the router refuse a
+// request whose bound exceeds max_payload_bytes before executing it, so a
+// reply the client's frame cap would reject is never produced.
+size_t MaxResultPayloadBytes(std::span<const RecommendRequest> queries);
 
 // Error codes carried in ERROR replies; a superset mapping of
 // util::StatusCode plus protocol-specific conditions.
@@ -280,37 +272,30 @@ struct ErrorReply {
   std::string message;
 };
 
-// RECOMMEND / RECOMMEND_BATCH are version-gated: v1 payloads carry
-// user/topic/top_n only, v2 appends deadline_ms and the exclusion list.
-// Encoding at v1 drops the v2 fields (callers that need them must speak
-// v2); decoding fills defaults for them.
-std::vector<uint8_t> EncodeRecommend(const RecommendRequest& req,
-                                     uint16_t version = kProtocolVersion);
+// RECOMMEND payload: user:u32 topic:u32 top_n:u32 deadline_ms:u32
+// exclude_count:u32 exclude[exclude_count]:u32. RECOMMEND_BATCH prefixes a
+// query count:u32.
+std::vector<uint8_t> EncodeRecommend(const RecommendRequest& req);
 util::Status DecodeRecommend(std::span<const uint8_t> payload,
-                             const WireLimits& limits, uint16_t version,
-                             RecommendRequest* out);
+                             const WireLimits& limits, RecommendRequest* out);
 
 std::vector<uint8_t> EncodeRecommendBatch(
-    const std::vector<RecommendRequest>& reqs,
-    uint16_t version = kProtocolVersion);
+    const std::vector<RecommendRequest>& reqs);
 util::Status DecodeRecommendBatch(std::span<const uint8_t> payload,
-                                  const WireLimits& limits, uint16_t version,
+                                  const WireLimits& limits,
                                   std::vector<RecommendRequest>* out);
 
-// RESULT / RESULT_BATCH are version-gated: v3 prepends the graph epoch the
-// ranking was computed under (per-list in the batch), v4 appends the
-// coordinator trailer after the list(s), v5 inserts the served_tier byte
-// between the epoch and the list (per-list in the batch). Encoding at
-// v1/v2 drops the epoch (and below v5 the tier); decoding fills 0 for
-// them (and defaults for the trailer below v4).
+// RESULT payload: graph_epoch:u64 served_tier:u8 count:u32
+// entries[count] (id:u32 score:f64), then the coordinator trailer.
+// RESULT_BATCH: list count:u32, then per list epoch/tier/count/entries,
+// then one trailer for the frame.
 std::vector<uint8_t> EncodeResult(const RankedList& list,
                                   uint64_t graph_epoch = 0,
-                                  uint16_t version = kProtocolVersion,
                                   const CoordTrailer& coord = {},
                                   uint8_t served_tier = 0);
 util::Status DecodeResult(std::span<const uint8_t> payload,
-                          const WireLimits& limits, uint16_t version,
-                          RankedList* out, uint64_t* graph_epoch = nullptr,
+                          const WireLimits& limits, RankedList* out,
+                          uint64_t* graph_epoch = nullptr,
                           CoordTrailer* coord = nullptr,
                           uint8_t* served_tier = nullptr);
 
@@ -319,18 +304,17 @@ util::Status DecodeResult(std::span<const uint8_t> payload,
 // whole frame.
 std::vector<uint8_t> EncodeResultBatch(const std::vector<RankedList>& lists,
                                        std::span<const uint64_t> epochs = {},
-                                       uint16_t version = kProtocolVersion,
                                        const CoordTrailer& coord = {},
                                        std::span<const uint8_t> tiers = {});
 util::Status DecodeResultBatch(std::span<const uint8_t> payload,
-                               const WireLimits& limits, uint16_t version,
+                               const WireLimits& limits,
                                std::vector<RankedList>* out,
                                std::vector<uint64_t>* epochs = nullptr,
                                CoordTrailer* coord = nullptr,
                                std::vector<uint8_t>* tiers = nullptr);
 
 // ---------------------------------------------------------------------------
-// v4 shard payloads (coordinator tier, DESIGN.md §6.7).
+// Shard payloads (coordinator tier, DESIGN.md §6.7).
 //
 // A RECOMMEND_PARTIAL request reuses the RECOMMEND payload (user / topic /
 // top_n / deadline / exclude; the shard only interprets user, topic and
@@ -398,7 +382,7 @@ util::Status DecodeLandmarkVectors(std::span<const uint8_t> payload,
                                    LandmarkVectorsReply* out);
 
 // ---------------------------------------------------------------------------
-// v3 mutation payloads.
+// Mutation payloads.
 //
 // FOLLOW / RELABEL record: src:u32 dst:u32 labels:u64 (TopicSet bits).
 // UNFOLLOW record:         src:u32 dst:u32 (labels omitted on the wire).
@@ -426,15 +410,14 @@ util::Status DecodeMutation(std::span<const uint8_t> payload,
 std::vector<uint8_t> EncodeMutateAck(const MutateAck& ack);
 util::Status DecodeMutateAck(std::span<const uint8_t> payload, MutateAck* out);
 
-// STATS is version-gated: v2 appends deadline_exceeded, v4 appends the
-// coordinator rollup (shards_total / shards_up), v5 appends the per-tier
-// serving counters (tier_exact / tier_approx / tier_stale / degraded).
-std::vector<uint8_t> EncodeStats(const service::StatsSnapshot& s,
-                                 uint16_t version = kProtocolVersion);
-util::Status DecodeStats(std::span<const uint8_t> payload, uint16_t version,
+// STATS_RESULT payload: the StatsSnapshot counters and percentiles in
+// declaration order, including the coordinator rollup (shards_total /
+// shards_up) and the per-tier serving counters.
+std::vector<uint8_t> EncodeStats(const service::StatsSnapshot& s);
+util::Status DecodeStats(std::span<const uint8_t> payload,
                          service::StatsSnapshot* out);
 
-// METRICS_RESULT carries the Prometheus exposition text (v2+). The text
+// METRICS_RESULT carries the Prometheus exposition text. The text
 // is bounded by max_payload_bytes like any other payload.
 std::vector<uint8_t> EncodeMetricsResult(const std::string& text);
 util::Status DecodeMetricsResult(std::span<const uint8_t> payload,

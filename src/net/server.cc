@@ -299,11 +299,10 @@ void Server::HandleConnectionEvent(int fd, uint32_t events) {
 }
 
 bool Server::QueueError(Connection* conn, uint64_t request_id,
-                        uint16_t version, WireError code,
-                        const std::string& message) {
+                        WireError code, const std::string& message) {
   metrics_.protocol_errors->Increment();
   std::vector<uint8_t> payload = EncodeError({code, message});
-  if (!conn->QueueReply(MessageKind::kError, request_id, payload, version)) {
+  if (!conn->QueueReply(MessageKind::kError, request_id, payload)) {
     CloseConnection(conn->fd());
     return false;
   }
@@ -312,48 +311,37 @@ bool Server::QueueError(Connection* conn, uint64_t request_id,
 
 void Server::HandleFrame(Connection* conn, const Connection::Frame& frame) {
   const FrameHeader& h = frame.header;
-  if (h.version < kMinProtocolVersion || h.version > kProtocolVersion) {
-    if (QueueError(conn, h.request_id, kProtocolVersion,
-                   WireError::kUnsupportedVersion,
-                   "server speaks protocol v" +
-                       std::to_string(kMinProtocolVersion) + "-v" +
-                       std::to_string(kProtocolVersion) + ", client sent v" +
-                       std::to_string(h.version))) {
+  if (util::Status st = CheckFrameVersion(h); !st.ok()) {
+    if (QueueError(conn, h.request_id, WireError::kUnsupportedVersion,
+                   st.message())) {
       conn->set_close_after_flush();
       FlushWrites(conn);
     }
     return;
   }
   if (util::Status st = VerifyPayloadCrc(h, frame.payload); !st.ok()) {
-    QueueError(conn, h.request_id, h.version, WireError::kBadFrame,
+    QueueError(conn, h.request_id, WireError::kBadFrame,
                st.message());
     return;
   }
 
   switch (h.kind) {
     case MessageKind::kPing:
-      if (!conn->QueueReply(MessageKind::kPong, h.request_id, {},
-                            h.version)) {
+      if (!conn->QueueReply(MessageKind::kPong, h.request_id, {})) {
         CloseConnection(conn->fd());
       }
       return;
     case MessageKind::kStats: {
-      std::vector<uint8_t> payload = EncodeStats(StatsNow(), h.version);
-      if (!conn->QueueReply(MessageKind::kStatsResult, h.request_id, payload,
-                            h.version)) {
+      std::vector<uint8_t> payload = EncodeStats(StatsNow());
+      if (!conn->QueueReply(MessageKind::kStatsResult, h.request_id, payload)) {
         CloseConnection(conn->fd());
       }
       return;
     }
     case MessageKind::kMetrics: {
-      // v2+ op: render the whole registry (engine + net series) as
-      // Prometheus text. Rendered inline on the event loop — exposition is
-      // a rare, operator-driven request.
-      if (h.version < 2) {
-        QueueError(conn, h.request_id, h.version, WireError::kUnknownKind,
-                   "METRICS requires protocol v2");
-        return;
-      }
+      // Render the whole registry (engine + net series) as Prometheus
+      // text. Rendered inline on the event loop — exposition is a rare,
+      // operator-driven request.
       std::string text = obs::RenderPrometheus(*registry_);
       if (text.size() + 4 > config_.limits.max_payload_bytes) {
         text.resize(config_.limits.max_payload_bytes > 4
@@ -365,14 +353,13 @@ void Server::HandleFrame(Connection* conn, const Connection::Frame& frame) {
       }
       std::vector<uint8_t> payload = EncodeMetricsResult(text);
       if (!conn->QueueReply(MessageKind::kMetricsResult, h.request_id,
-                            payload, h.version)) {
+                            payload)) {
         CloseConnection(conn->fd());
       }
       return;
     }
     case MessageKind::kShutdown:
-      if (!conn->QueueReply(MessageKind::kShutdownAck, h.request_id, {},
-                            h.version)) {
+      if (!conn->QueueReply(MessageKind::kShutdownAck, h.request_id, {})) {
         CloseConnection(conn->fd());
         return;
       }
@@ -383,40 +370,22 @@ void Server::HandleFrame(Connection* conn, const Connection::Frame& frame) {
     case MessageKind::kFollow:
     case MessageKind::kUnfollow:
     case MessageKind::kRelabel:
-      // v3+ ops; same gating shape as METRICS so a v1/v2 peer that never
-      // learned these kinds sees the same error it would for any unknown
-      // kind.
-      if (h.version < 3) {
-        QueueError(conn, h.request_id, h.version, WireError::kUnknownKind,
-                   "mutation ops require protocol v3");
-        return;
-      }
       break;  // work requests, handled below
     case MessageKind::kRecommendPartial:
-      // v4+ shard op; only a shard-configured server knows which users it
+      // Shard op; only a shard-configured server knows which users it
       // homes and which stored lists to inline.
-      if (h.version < 4) {
-        QueueError(conn, h.request_id, h.version, WireError::kUnknownKind,
-                   "shard ops require protocol v4");
-        return;
-      }
       if (config_.shard_owned == nullptr || config_.shard_index == nullptr) {
-        QueueError(conn, h.request_id, h.version, WireError::kInvalidArgument,
+        QueueError(conn, h.request_id, WireError::kInvalidArgument,
                    "RECOMMEND_PARTIAL requires a shard-configured server");
         return;
       }
       break;  // work request, handled below
     case MessageKind::kLandmarkFetch: {
-      // v4+ shard op, answered inline on the event loop: shard serving is
+      // Shard op, answered inline on the event loop: shard serving is
       // read-only, so the restricted index and the epoch are stable and
       // the reply is a straight copy of stored lists.
-      if (h.version < 4) {
-        QueueError(conn, h.request_id, h.version, WireError::kUnknownKind,
-                   "shard ops require protocol v4");
-        return;
-      }
       if (config_.shard_owned == nullptr || config_.shard_index == nullptr) {
-        QueueError(conn, h.request_id, h.version, WireError::kInvalidArgument,
+        QueueError(conn, h.request_id, WireError::kInvalidArgument,
                    "LANDMARK_FETCH requires a shard-configured server");
         return;
       }
@@ -424,12 +393,12 @@ void Server::HandleFrame(Connection* conn, const Connection::Frame& frame) {
       if (util::Status st =
               DecodeLandmarkFetch(frame.payload, config_.limits, &fetch);
           !st.ok()) {
-        QueueError(conn, h.request_id, h.version, WireError::kBadFrame,
+        QueueError(conn, h.request_id, WireError::kBadFrame,
                    st.message());
         return;
       }
       if (fetch.topic >= engine_->num_topics()) {
-        QueueError(conn, h.request_id, h.version, WireError::kInvalidArgument,
+        QueueError(conn, h.request_id, WireError::kInvalidArgument,
                    "topic " + std::to_string(fetch.topic) + " out of range");
         return;
       }
@@ -438,8 +407,7 @@ void Server::HandleFrame(Connection* conn, const Connection::Frame& frame) {
       for (uint32_t lm : fetch.landmarks) {
         if (lm >= config_.shard_owned->size() ||
             !config_.shard_index->IsLandmark(lm)) {
-          QueueError(conn, h.request_id, h.version,
-                     WireError::kInvalidArgument,
+          QueueError(conn, h.request_id, WireError::kInvalidArgument,
                      "node " + std::to_string(lm) + " is not a landmark");
           return;
         }
@@ -459,12 +427,12 @@ void Server::HandleFrame(Connection* conn, const Connection::Frame& frame) {
       }
       std::vector<uint8_t> payload = EncodeLandmarkVectors(vectors);
       if (payload.size() > config_.limits.max_payload_bytes) {
-        QueueError(conn, h.request_id, h.version, WireError::kInvalidArgument,
+        QueueError(conn, h.request_id, WireError::kInvalidArgument,
                    "landmark vectors reply would exceed the frame cap");
         return;
       }
       if (!conn->QueueReply(MessageKind::kLandmarkVectors, h.request_id,
-                            payload, h.version)) {
+                            payload)) {
         CloseConnection(conn->fd());
       }
       return;
@@ -473,14 +441,14 @@ void Server::HandleFrame(Connection* conn, const Connection::Frame& frame) {
     case MessageKind::kRecommendBatch:
       break;  // work requests, handled below
     default:
-      QueueError(conn, h.request_id, h.version, WireError::kUnknownKind,
+      QueueError(conn, h.request_id, WireError::kUnknownKind,
                  "unhandled message kind " +
                      std::to_string(static_cast<uint16_t>(h.kind)));
       return;
   }
 
   if (draining_) {
-    QueueError(conn, h.request_id, h.version, WireError::kShuttingDown,
+    QueueError(conn, h.request_id, WireError::kShuttingDown,
                "server is draining");
     return;
   }
@@ -492,7 +460,6 @@ void Server::HandleFrame(Connection* conn, const Connection::Frame& frame) {
   req.conn_fd = conn->fd();
   req.conn_gen = conn->gen();
   req.request_id = h.request_id;
-  req.version = h.version;
   req.kind = h.kind;
   if (IsMutationKind(h.kind)) {
     // Decode fully BEFORE touching the applier: a malformed mutation frame
@@ -501,12 +468,12 @@ void Server::HandleFrame(Connection* conn, const Connection::Frame& frame) {
     if (util::Status st =
             DecodeMutation(frame.payload, config_.limits, h.kind, &records);
         !st.ok()) {
-      QueueError(conn, h.request_id, h.version, WireError::kBadFrame,
+      QueueError(conn, h.request_id, WireError::kBadFrame,
                  st.message());
       return;
     }
     if (config_.applier == nullptr) {
-      QueueError(conn, h.request_id, h.version, WireError::kInvalidArgument,
+      QueueError(conn, h.request_id, WireError::kInvalidArgument,
                  "server is read-only (mutations disabled)");
       return;
     }
@@ -531,8 +498,7 @@ void Server::HandleFrame(Connection* conn, const Connection::Frame& frame) {
     uint32_t cur_inflight = inflight_.load(std::memory_order_relaxed);
     if (cur_inflight >= config_.max_inflight) {
       metrics_.shed_overload->Increment();
-      if (!conn->QueueReply(MessageKind::kOverloaded, h.request_id, {},
-                            h.version)) {
+      if (!conn->QueueReply(MessageKind::kOverloaded, h.request_id, {})) {
         CloseConnection(conn->fd());
       }
       return;
@@ -552,39 +518,29 @@ void Server::HandleFrame(Connection* conn, const Connection::Frame& frame) {
       h.kind == MessageKind::kRecommendPartial) {
     RecommendRequest r;
     if (util::Status st =
-            DecodeRecommend(frame.payload, config_.limits, h.version, &r);
+            DecodeRecommend(frame.payload, config_.limits, &r);
         !st.ok()) {
-      QueueError(conn, h.request_id, h.version, WireError::kBadFrame,
+      QueueError(conn, h.request_id, WireError::kBadFrame,
                  st.message());
       return;
     }
     decoded.push_back(std::move(r));
   } else {
-    if (util::Status st = DecodeRecommendBatch(frame.payload, config_.limits,
-                                               h.version, &decoded);
+    if (util::Status st =
+            DecodeRecommendBatch(frame.payload, config_.limits, &decoded);
         !st.ok()) {
-      QueueError(conn, h.request_id, h.version, WireError::kBadFrame,
+      QueueError(conn, h.request_id, WireError::kBadFrame,
                  st.message());
       return;
     }
   }
   // A reply the client's own frame cap would reject must never be
-  // produced: bound the worst-case result payload up front. At v3 every
-  // list additionally carries its 8-byte graph epoch; at v4 the frame
-  // carries one coordinator trailer. A PARTIAL reply's size depends on
-  // the exploration, not top_n — it is bounded after execution instead.
+  // produced: bound the worst-case result payload up front. A PARTIAL
+  // reply's size depends on the exploration, not top_n — it is bounded
+  // after execution instead.
   if (h.kind != MessageKind::kRecommendPartial) {
-    // v3 adds the 8-byte per-list epoch, v5 the per-list tier byte.
-    const size_t per_list_overhead =
-        h.version >= 5 ? 13 : h.version >= 3 ? 12 : 4;
-    size_t reply_bytes = 4;  // list-count prefix
-    if (h.version >= 4) reply_bytes += kCoordTrailerBytes;
-    for (const RecommendRequest& r : decoded) {
-      reply_bytes += per_list_overhead +
-                     static_cast<size_t>(r.top_n) * kResultEntryBytes;
-    }
-    if (reply_bytes > config_.limits.max_payload_bytes) {
-      QueueError(conn, h.request_id, h.version, WireError::kInvalidArgument,
+    if (MaxResultPayloadBytes(decoded) > config_.limits.max_payload_bytes) {
+      QueueError(conn, h.request_id, WireError::kInvalidArgument,
                  "reply would exceed the " +
                      std::to_string(config_.limits.max_payload_bytes) +
                      "-byte frame payload cap");
@@ -594,7 +550,7 @@ void Server::HandleFrame(Connection* conn, const Connection::Frame& frame) {
   const uint32_t num_nodes = engine_->num_nodes();
   const uint32_t num_topics = engine_->num_topics();
   // The effective deadline is the tighter of the server-wide bound and the
-  // client's per-request deadline_ms (v2 field; 0 = none either way).
+  // client's per-request deadline_ms (0 = none either way).
   uint32_t deadline_ms = config_.request_deadline_ms;
   for (const RecommendRequest& r : decoded) {
     if (r.deadline_ms > 0 &&
@@ -609,7 +565,7 @@ void Server::HandleFrame(Connection* conn, const Connection::Frame& frame) {
   req.queries.reserve(decoded.size());
   for (RecommendRequest& r : decoded) {
     if (r.user >= num_nodes || r.topic >= num_topics) {
-      QueueError(conn, h.request_id, h.version, WireError::kInvalidArgument,
+      QueueError(conn, h.request_id, WireError::kInvalidArgument,
                  "query out of range: user " + std::to_string(r.user) +
                      " (nodes " + std::to_string(num_nodes) + "), topic " +
                      std::to_string(r.topic) + " (topics " +
@@ -628,7 +584,7 @@ void Server::HandleFrame(Connection* conn, const Connection::Frame& frame) {
   // halo guarantees byte-identity for owned users and nothing else.
   if (h.kind == MessageKind::kRecommendPartial &&
       !(*config_.shard_owned)[req.queries.front().user]) {
-    QueueError(conn, h.request_id, h.version, WireError::kInvalidArgument,
+    QueueError(conn, h.request_id, WireError::kInvalidArgument,
                "user " + std::to_string(req.queries.front().user) +
                    " is not homed on shard " + std::to_string(config_.shard));
     return;
@@ -638,8 +594,7 @@ void Server::HandleFrame(Connection* conn, const Connection::Frame& frame) {
   uint32_t cur = inflight_.load(std::memory_order_relaxed);
   if (cur >= config_.max_inflight) {
     metrics_.shed_overload->Increment();
-    if (!conn->QueueReply(MessageKind::kOverloaded, h.request_id, {},
-                          h.version)) {
+    if (!conn->QueueReply(MessageKind::kOverloaded, h.request_id, {})) {
       CloseConnection(conn->fd());
     }
     return;
@@ -790,8 +745,7 @@ void Server::DispatchLoop() {
       std::vector<uint8_t> payload =
           EncodeError({WireError::kDeadlineExceeded,
                        "deadline expired before execution"});
-      AppendFrame(MessageKind::kError, req.request_id, payload, &frame,
-                  req.version);
+      AppendFrame(MessageKind::kError, req.request_id, payload, &frame);
     } else if (IsMutationKind(req.kind)) {
       util::WallTimer timer;
       const service::MutationOutcome outcome =
@@ -801,8 +755,7 @@ void Server::DispatchLoop() {
       ack.rejected = outcome.rejected;
       ack.graph_epoch = outcome.graph_epoch;
       std::vector<uint8_t> payload = EncodeMutateAck(ack);
-      AppendFrame(MessageKind::kMutateAck, req.request_id, payload, &frame,
-                  req.version);
+      AppendFrame(MessageKind::kMutateAck, req.request_id, payload, &frame);
       metrics_.mutate_latency_us->Record(
           static_cast<uint64_t>(timer.ElapsedSeconds() * 1e6));
     } else if (req.kind == MessageKind::kRecommendPartial) {
@@ -820,8 +773,7 @@ void Server::DispatchLoop() {
                       : WireError::kInternal;
         std::vector<uint8_t> payload =
             EncodeError({wire, partial.status().message()});
-        AppendFrame(MessageKind::kError, req.request_id, payload, &frame,
-                    req.version);
+        AppendFrame(MessageKind::kError, req.request_id, payload, &frame);
       } else {
         PartialReply reply;
         reply.graph_epoch = partial->graph_epoch;
@@ -857,19 +809,17 @@ void Server::DispatchLoop() {
                    " nodes, over the " +
                    std::to_string(config_.limits.max_partial) +
                    "-record partial cap"});
-          AppendFrame(MessageKind::kError, req.request_id, payload, &frame,
-                      req.version);
+          AppendFrame(MessageKind::kError, req.request_id, payload, &frame);
         } else {
           std::vector<uint8_t> payload = EncodePartialReply(reply);
           if (payload.size() > config_.limits.max_payload_bytes) {
             payload = EncodeError(
                 {WireError::kInvalidArgument,
                  "partial reply would exceed the frame payload cap"});
-            AppendFrame(MessageKind::kError, req.request_id, payload, &frame,
-                        req.version);
+            AppendFrame(MessageKind::kError, req.request_id, payload, &frame);
           } else {
             AppendFrame(MessageKind::kPartialResult, req.request_id, payload,
-                        &frame, req.version);
+                        &frame);
           }
         }
       }
@@ -895,15 +845,13 @@ void Server::DispatchLoop() {
         std::vector<uint8_t> payload = EncodeError(
             {deadline ? WireError::kDeadlineExceeded : WireError::kInternal,
              failed->status().message()});
-        AppendFrame(MessageKind::kError, req.request_id, payload, &frame,
-                    req.version);
+        AppendFrame(MessageKind::kError, req.request_id, payload, &frame);
       } else if (req.kind == MessageKind::kRecommend) {
         const service::Response& resp = results.front().value();
         std::vector<uint8_t> payload = EncodeResult(
-            resp.ranking.entries, resp.meta.graph_epoch, req.version, {},
+            resp.ranking.entries, resp.meta.graph_epoch, {},
             static_cast<uint8_t>(resp.meta.served_tier));
-        AppendFrame(MessageKind::kResult, req.request_id, payload, &frame,
-                    req.version);
+        AppendFrame(MessageKind::kResult, req.request_id, payload, &frame);
       } else {
         std::vector<RankedList> lists;
         std::vector<uint64_t> epochs;
@@ -917,9 +865,9 @@ void Server::DispatchLoop() {
           lists.push_back(std::move(r.value().ranking.entries));
         }
         std::vector<uint8_t> payload =
-            EncodeResultBatch(lists, epochs, req.version, {}, tiers);
+            EncodeResultBatch(lists, epochs, {}, tiers);
         AppendFrame(MessageKind::kResultBatch, req.request_id, payload,
-                    &frame, req.version);
+                    &frame);
       }
       obs::Histogram* h = req.kind == MessageKind::kRecommend
                               ? metrics_.recommend_latency_us

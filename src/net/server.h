@@ -70,13 +70,13 @@ struct ServerConfig {
   // op renders. nullptr = the engine's registry, so one exposition covers
   // engine + network counters by default. Must outlive the server.
   obs::Registry* registry = nullptr;
-  // v3 mutation ops (FOLLOW/UNFOLLOW/RELABEL) apply through this. nullptr
+  // Mutation ops (FOLLOW/UNFOLLOW/RELABEL) apply through this. nullptr
   // = read-only serving: well-formed mutation frames are answered with
   // ERROR(INVALID_ARGUMENT) and never touch the graph. Must outlive the
   // server.
   service::MutationApplier* applier = nullptr;
   // Shard serving (coordinator tier, DESIGN.md §6.7). When `shard_owned`
-  // and `shard_index` are both set the server answers the v4 shard ops:
+  // and `shard_index` are both set the server answers the shard ops:
   // RECOMMEND_PARTIAL for users it owns (decomposed exploration records
   // plus the inline stored lists of locally-homed landmarks) and
   // LANDMARK_FETCH for the stored lists of landmarks it homes.
@@ -141,8 +141,6 @@ class Server {
     int conn_fd = -1;
     uint64_t conn_gen = 0;
     uint64_t request_id = 0;
-    // Protocol version the request arrived with; echoed on the reply.
-    uint16_t version = kProtocolVersion;
     MessageKind kind = MessageKind::kRecommend;
     std::vector<service::Query> queries;
     std::vector<service::Mutation> mutations;  // mutation kinds only
@@ -162,8 +160,8 @@ class Server {
   void HandleFrame(Connection* conn, const Connection::Frame& frame);
   // Returns false when the connection had to be closed (write overflow) —
   // `conn` is dangling in that case.
-  bool QueueError(Connection* conn, uint64_t request_id, uint16_t version,
-                  WireError code, const std::string& message);
+  bool QueueError(Connection* conn, uint64_t request_id, WireError code,
+                  const std::string& message);
   void ProcessCompletions();
   void FlushWrites(Connection* conn);
   void UpdateEpollInterest(Connection* conn);

@@ -3,20 +3,24 @@
 // QueryEngine over the full graph — ids, order, and raw score bits — for
 // every PartitionStrategy and shard count, in both landmark (scatter-
 // gather RECOMMEND_PARTIAL + LANDMARK_FETCH merge) and exact (home-shard
-// forwarding) modes. "Byte-identical" is literal: both ranked lists are
-// re-encoded with the v1 RESULT codec and the encodings must be equal.
+// forwarding) modes. "Byte-identical" is literal: both ranked lists must
+// agree in length, ids, order and the raw bits of every score, and the
+// routed reply's graph epoch and served tier must equal the single-node
+// response's.
 //
 // A second suite kills a shard out from under the router and checks the
-// partial-result policy end to end: the reply degrades (v4 trailer
-// partial=1, shards_answered < shards_total), the client call still
+// partial-result policy end to end: the reply degrades (coordinator
+// trailer partial=1, shards_answered < shards_total), the client call still
 // succeeds — never a hang, never a crash — and mbr_coord_partial_total
 // is bumped on the router's registry.
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "coord/router.h"
@@ -33,6 +37,7 @@
 #include "service/query_engine.h"
 #include "topics/similarity_matrix.h"
 #include "util/rng.h"
+#include "wire_test_util.h"
 
 namespace mbr::coord {
 namespace {
@@ -176,10 +181,17 @@ util::Result<net::Client> Dial(const Stack& stack) {
   return net::Client::Connect(cc);
 }
 
-// Canonical byte encoding of a ranked list: the v1 RESULT codec (no epoch,
-// no trailer), so only ids, order, and raw f64 score bits are compared.
-std::vector<uint8_t> CanonicalBytes(const net::RankedList& list) {
-  return net::EncodeResult(list, /*graph_epoch=*/0, /*version=*/1);
+// Canonical form of a ranked list: (id, raw f64 score bits) in rank
+// order. Two lists compare equal iff their lengths, ids, order and every
+// score bit agree.
+std::vector<std::pair<uint32_t, uint64_t>> RawRanking(
+    const net::RankedList& list) {
+  std::vector<std::pair<uint32_t, uint64_t>> out;
+  out.reserve(list.size());
+  for (const util::ScoredId& e : list) {
+    out.emplace_back(e.id, std::bit_cast<uint64_t>(e.score));
+  }
+  return out;
 }
 
 std::vector<net::RecommendRequest> ProbePanel(uint64_t seed, int count) {
@@ -226,10 +238,13 @@ void ExpectRoutedMatchesReference(net::Client& client,
   EXPECT_EQ(routed->coord.partial, 0u) << context;
   auto expect = reference.Recommend(ToQuery(req));
   ASSERT_TRUE(expect.ok()) << context << ": " << expect.status().ToString();
-  ASSERT_EQ(CanonicalBytes(routed->entries),
-            CanonicalBytes(expect->ranking.entries))
+  ASSERT_EQ(RawRanking(routed->entries), RawRanking(expect->ranking.entries))
       << context << ": routed reply diverged from single-node, user="
       << req.user << " topic=" << req.topic;
+  EXPECT_EQ(routed->graph_epoch, expect->meta.graph_epoch) << context;
+  EXPECT_EQ(routed->served_tier,
+            static_cast<uint8_t>(expect->meta.served_tier))
+      << context;
 }
 
 TEST(CoordDifferentialTest, LandmarkRoutedIsByteIdenticalForEveryStrategy) {
@@ -295,9 +310,12 @@ TEST(CoordDifferentialTest, BatchRoutedPreservesOrderAndBytes) {
     auto expect = reference.Recommend(ToQuery(batch[i]));
     ASSERT_TRUE(expect.ok());
     EXPECT_EQ((*routed)[i].coord.partial, 0u) << "batch slot " << i;
-    ASSERT_EQ(CanonicalBytes((*routed)[i].entries),
-              CanonicalBytes(expect->ranking.entries))
+    ASSERT_EQ(RawRanking((*routed)[i].entries),
+              RawRanking(expect->ranking.entries))
         << "batch slot " << i << " user=" << batch[i].user;
+    EXPECT_EQ((*routed)[i].graph_epoch, expect->meta.graph_epoch);
+    EXPECT_EQ((*routed)[i].served_tier,
+              static_cast<uint8_t>(expect->meta.served_tier));
   }
 }
 
@@ -318,6 +336,20 @@ TEST(CoordDifferentialTest, RoutedStatsRollupCountsAllShards) {
   EXPECT_EQ(stats->shards_total, 2u);
   EXPECT_EQ(stats->shards_up, 2u);
   EXPECT_GE(stats->queries, 4u);
+}
+
+TEST(CoordRouterProtocolTest, WrongVersionFrameGetsUnsupportedVersion) {
+  auto stack = MakeStack(/*shards=*/2, PartitionStrategy::kHash,
+                         /*landmark_mode=*/true, /*halo_depth=*/1);
+  ASSERT_NE(stack, nullptr);
+  for (uint16_t v : {uint16_t{1}, uint16_t{net::kProtocolVersion - 1},
+                     uint16_t{net::kProtocolVersion + 1}}) {
+    net::wiretest::ExpectWrongVersionRefused(stack->router->port(), v);
+  }
+  // The refusals cost only their own connections.
+  auto client = Dial(*stack);
+  ASSERT_TRUE(client.ok());
+  EXPECT_TRUE(client->Ping().ok());
 }
 
 TEST(CoordPartialPolicyTest, KilledShardDegradesToPartialNeverFails) {
@@ -392,7 +424,7 @@ TEST(CoordPartialPolicyTest, DegradeOffTurnsShardLossIntoError) {
   EXPECT_EQ(alive->coord.partial, 0u);
 }
 
-// ---- Protocol v5 tier merge through the router. ----
+// ---- Tier merge through the router. ----
 
 TEST(CoordTierMergeTest, RoutedTierIsMaxOverContributingShards) {
   // Exact-mode router over one healthy exact shard (0) and one shard

@@ -3,8 +3,9 @@
 // every checkpoint compare its exact-path answers, byte for byte, with a
 // reference engine freshly rebuilt from a shadow DeltaGraph that replayed
 // the same trace in-process. "Byte for byte" is literal: both ranked
-// lists are re-encoded with the v1 RESULT codec (which carries no epoch)
-// and the encodings must be identical — ids, order, and raw score bits.
+// lists must agree in length, ids, order and the raw bits of every score;
+// the reply's graph epoch and served tier are checked as separate
+// assertions.
 //
 // The shadow also mirrors the applier's per-record validation, so every
 // MUTATE_ACK's applied/rejected counts and graph_epoch are cross-checked
@@ -18,9 +19,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/authority.h"
@@ -132,11 +135,18 @@ core::ScoreParams OracleParams() {
   return p;
 }
 
-// Canonical byte encoding of a ranked list: the v1 RESULT codec, which has
-// no epoch field, so two replies computed at different epochs but over the
-// same graph still compare equal.
-std::vector<uint8_t> CanonicalBytes(const net::RankedList& list) {
-  return net::EncodeResult(list, /*graph_epoch=*/0, /*version=*/1);
+// Canonical form of a ranked list: (id, raw f64 score bits) in rank
+// order. Two lists compare equal iff their lengths, ids, order and every
+// score bit agree; epoch and tier are not part of it, so two replies
+// computed at different epochs but over the same graph still compare equal.
+std::vector<std::pair<uint32_t, uint64_t>> RawRanking(
+    const net::RankedList& list) {
+  std::vector<std::pair<uint32_t, uint64_t>> out;
+  out.reserve(list.size());
+  for (const util::ScoredId& e : list) {
+    out.emplace_back(e.id, std::bit_cast<uint64_t>(e.score));
+  }
+  return out;
 }
 
 // ---------- exact-path wire oracle ----------
@@ -258,8 +268,9 @@ TEST_F(DynamicServingDifferentialTest,
       auto remote = client->RecommendEx({user, topic, kTopN});
       ASSERT_TRUE(remote.ok()) << remote.status().ToString();
       EXPECT_EQ(remote->graph_epoch, shadow.epoch());
+      EXPECT_EQ(remote->served_tier, static_cast<uint8_t>(core::Tier::kExact));
       net::RankedList expect = reference.TopN(user, topic, kTopN).value();
-      ASSERT_EQ(CanonicalBytes(remote->entries), CanonicalBytes(expect))
+      ASSERT_EQ(RawRanking(remote->entries), RawRanking(expect))
           << "checkpoint " << checkpoints_run << " (after " << total_sent
           << " mutations), probe user=" << user
           << " topic=" << static_cast<int>(topic)
@@ -327,7 +338,7 @@ TEST(MutationPipelineParityTest, IncrementalAndFullRebuildServeSameBytes) {
           probe_rng.UniformU64(static_cast<uint64_t>(num_topics)));
       net::RankedList want = full_engine.TopN(user, topic, 10).value();
       net::RankedList got = inc_engine.TopN(user, topic, 10).value();
-      ASSERT_EQ(CanonicalBytes(got), CanonicalBytes(want))
+      ASSERT_EQ(RawRanking(got), RawRanking(want))
           << "batch " << b << " user " << user << " topic "
           << static_cast<int>(topic)
           << ": incremental pipeline diverged from full rebuild";
@@ -491,7 +502,7 @@ TEST(LandmarkRepairDifferentialTest, AllModeQuiesceIsByteIdenticalToFresh) {
         probe_rng.UniformU64(static_cast<uint64_t>(fx.base_->num_topics())));
     net::RankedList live = fx.engine_->TopN(user, topic, 10).value();
     net::RankedList ref = reference.TopN(user, topic, 10).value();
-    ASSERT_EQ(CanonicalBytes(live), CanonicalBytes(ref))
+    ASSERT_EQ(RawRanking(live), RawRanking(ref))
         << "user " << user << " topic " << static_cast<int>(topic);
   }
 }

@@ -24,6 +24,7 @@
 #include "service/mutation.h"
 #include "service/query_engine.h"
 #include "topics/similarity_matrix.h"
+#include "wire_test_util.h"
 
 namespace mbr::net {
 namespace {
@@ -133,7 +134,8 @@ class NetCorruptionTest : public ::testing::Test {
     return frame;
   }
 
-  // A v2 frame that actually uses the v2 tail: deadline + exclusion list.
+  // A frame that actually uses the variable tail: deadline + exclusion
+  // list.
   std::vector<uint8_t> RichV2Frame() {
     RecommendRequest req{2, 1, 5};
     req.deadline_ms = 60'000;
@@ -218,23 +220,34 @@ TEST_F(NetCorruptionTest, EveryBitFlipYieldsErrorOrClose) {
 }
 
 TEST_F(NetCorruptionTest, V2DeadlineExcludeFrameSurvivesCorruption) {
-  // The v2 tail (deadline_ms + exclude list) adds length-prefixed content
-  // whose counts can be corrupted independently of the CRC-protected
-  // payload; the whole frame gets the same truncation + bit-flip treatment
-  // as the v1-shaped frame above.
+  // The query tail (deadline_ms + exclude list) adds length-prefixed
+  // content whose counts can be corrupted independently of the
+  // CRC-protected payload; the whole frame gets the same truncation +
+  // bit-flip treatment as the minimal frame above.
   const std::vector<uint8_t> frame = RichV2Frame();
   SweepTruncations(frame);
   SweepBitFlips(frame);
   ExpectServerStillAlive();
 }
 
-TEST_F(NetCorruptionTest, V1StampedFrameSurvivesCorruption) {
-  // A v1 client's frame (12-byte fixed payload, version 1 header) against
-  // the v2 server: corruption must never be misread as a v2 tail.
-  RecommendRequest req{1, 0, 5};
-  std::vector<uint8_t> frame;
-  AppendFrame(MessageKind::kRecommend, 79, EncodeRecommend(req, /*version=*/1),
-              &frame, /*version=*/1);
+TEST_F(NetCorruptionTest, WrongVersionFrameSurvivesCorruption) {
+  // What an old client would send: a version-1 header over the old 12-byte
+  // query (user/topic/top_n, no tail). Intact it is refused by version;
+  // corrupted — including flips that turn the version into the current
+  // one over a payload too short for it — it must still yield only
+  // well-formed replies or a close.
+  PayloadWriter w;
+  w.PutU32(1);  // user
+  w.PutU32(0);  // topic
+  w.PutU32(5);  // top_n
+  const std::vector<uint8_t> payload = w.Take();
+  const std::vector<uint8_t> frame = wiretest::FrameWithVersion(
+      MessageKind::kRecommend, 79, payload, /*version=*/1);
+  std::vector<uint8_t> reply;
+  ASSERT_TRUE(SendAndDrain(frame, &reply));
+  FrameHeader h;
+  ASSERT_EQ(ParseFrameHeader(reply, WireLimits{}, &h), HeaderParse::kOk);
+  EXPECT_EQ(h.kind, MessageKind::kError);
   SweepTruncations(frame);
   SweepBitFlips(frame);
   ExpectServerStillAlive();

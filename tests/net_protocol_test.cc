@@ -1,11 +1,14 @@
-// Wire protocol unit tests: frame encode/parse, CRC coverage, and the
-// bounded payload codecs. Hostile inputs must fail with a clean Status —
-// the live-server counterpart of these checks is net_corruption_test.cc.
+// Wire protocol unit tests: frame encode/parse, CRC coverage, the bounded
+// payload codecs, and byte-exact golden frames of every layout. Hostile
+// inputs must fail with a clean Status — the live-server counterpart of
+// these checks is net_corruption_test.cc.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
+#include <string>
 
 #include "net/protocol.h"
 
@@ -37,7 +40,8 @@ TEST(NetProtocolTest, FrameRoundTrip) {
                                 h.payload_len);
   ASSERT_TRUE(VerifyPayloadCrc(h, body).ok());
   RecommendRequest back;
-  ASSERT_TRUE(DecodeRecommend(body, limits, h.version, &back).ok());
+  ASSERT_TRUE(CheckFrameVersion(h).ok());
+  ASSERT_TRUE(DecodeRecommend(body, limits, &back).ok());
   EXPECT_EQ(back.user, 7u);
   EXPECT_EQ(back.topic, 3u);
   EXPECT_EQ(back.top_n, 10u);
@@ -96,26 +100,32 @@ TEST(NetProtocolTest, UnknownVersionStillParsesHeader) {
   EXPECT_EQ(h.request_id, 5u);
 }
 
-TEST(NetProtocolTest, AppendFrameStampsRequestedVersion) {
-  std::vector<uint8_t> frame;
-  AppendFrame(MessageKind::kPing, 5, {}, &frame, 1);
+TEST(NetProtocolTest, CheckFrameVersionRefusesEveryOtherVersionByName) {
   FrameHeader h;
-  WireLimits limits;
-  ASSERT_EQ(ParseFrameHeader(frame, limits, &h), HeaderParse::kOk);
-  EXPECT_EQ(h.version, 1u);
+  h.version = kProtocolVersion;
+  EXPECT_TRUE(CheckFrameVersion(h).ok());
+  for (uint16_t v : {uint16_t{0}, uint16_t{1}, uint16_t{kProtocolVersion - 1},
+                     uint16_t{kProtocolVersion + 1}, uint16_t{0xFFFF}}) {
+    h.version = v;
+    util::Status st = CheckFrameVersion(h);
+    ASSERT_FALSE(st.ok()) << "version " << v;
+    EXPECT_EQ(st.code(), util::StatusCode::kInvalidArgument);
+    EXPECT_NE(st.message().find("v" + std::to_string(v)), std::string::npos)
+        << st.message();
+    EXPECT_NE(st.message().find("v" + std::to_string(kProtocolVersion)),
+              std::string::npos)
+        << st.message();
+  }
 }
 
 TEST(NetProtocolTest, RecommendRejectsZeroAndOversizedTopN) {
   WireLimits limits;
   RecommendRequest out;
   EXPECT_FALSE(
-      DecodeRecommend(EncodeRecommend({0, 0, 0}), limits, kProtocolVersion,
-                      &out)
-          .ok());
-  EXPECT_FALSE(
-      DecodeRecommend(EncodeRecommend({0, 0, limits.max_list + 1}), limits,
-                      kProtocolVersion, &out)
-          .ok());
+      DecodeRecommend(EncodeRecommend({0, 0, 0}), limits, &out).ok());
+  EXPECT_FALSE(DecodeRecommend(EncodeRecommend({0, 0, limits.max_list + 1}),
+                               limits, &out)
+                   .ok());
 }
 
 TEST(NetProtocolTest, RecommendRejectsTrailingBytes) {
@@ -123,31 +133,27 @@ TEST(NetProtocolTest, RecommendRejectsTrailingBytes) {
   std::vector<uint8_t> payload = EncodeRecommend({1, 1, 1});
   payload.push_back(0);
   RecommendRequest out;
-  EXPECT_FALSE(
-      DecodeRecommend(payload, limits, kProtocolVersion, &out).ok());
+  EXPECT_FALSE(DecodeRecommend(payload, limits, &out).ok());
 }
 
 TEST(NetProtocolTest, BatchRoundTripAndBounds) {
   WireLimits limits;
   std::vector<RecommendRequest> reqs = {{1, 0, 5}, {2, 1, 3}};
   std::vector<RecommendRequest> back;
-  ASSERT_TRUE(DecodeRecommendBatch(EncodeRecommendBatch(reqs), limits,
-                                   kProtocolVersion, &back)
-                  .ok());
+  ASSERT_TRUE(
+      DecodeRecommendBatch(EncodeRecommendBatch(reqs), limits, &back).ok());
   ASSERT_EQ(back.size(), 2u);
   EXPECT_EQ(back[1].user, 2u);
   EXPECT_EQ(back[1].top_n, 3u);
 
   // Empty batches and batches over the cap are rejected.
-  EXPECT_FALSE(DecodeRecommendBatch(EncodeRecommendBatch({}), limits,
-                                    kProtocolVersion, &back)
-                   .ok());
+  EXPECT_FALSE(
+      DecodeRecommendBatch(EncodeRecommendBatch({}), limits, &back).ok());
   // A declared count far beyond the bytes present must fail before any
   // allocation: craft count=max_batch with a single query's bytes.
   std::vector<uint8_t> lying = EncodeRecommendBatch({{1, 0, 5}});
   std::memcpy(lying.data(), &limits.max_batch, sizeof(uint32_t));
-  EXPECT_FALSE(
-      DecodeRecommendBatch(lying, limits, kProtocolVersion, &back).ok());
+  EXPECT_FALSE(DecodeRecommendBatch(lying, limits, &back).ok());
 }
 
 TEST(NetProtocolTest, ResultRoundTripPreservesScores) {
@@ -155,9 +161,7 @@ TEST(NetProtocolTest, ResultRoundTripPreservesScores) {
   RankedList list = {{11, 0.5}, {22, 0.25}, {33, 1e-9}};
   RankedList back;
   uint64_t epoch = 99;
-  ASSERT_TRUE(DecodeResult(EncodeResult(list), limits, kProtocolVersion,
-                           &back, &epoch)
-                  .ok());
+  ASSERT_TRUE(DecodeResult(EncodeResult(list), limits, &back, &epoch).ok());
   ASSERT_EQ(back.size(), 3u);
   EXPECT_EQ(back[0].id, 11u);
   EXPECT_DOUBLE_EQ(back[2].score, 1e-9);
@@ -165,9 +169,8 @@ TEST(NetProtocolTest, ResultRoundTripPreservesScores) {
 
   std::vector<RankedList> lists = {list, {}, {{1, 1.0}}};
   std::vector<RankedList> lists_back;
-  ASSERT_TRUE(DecodeResultBatch(EncodeResultBatch(lists), limits,
-                                kProtocolVersion, &lists_back)
-                  .ok());
+  ASSERT_TRUE(
+      DecodeResultBatch(EncodeResultBatch(lists), limits, &lists_back).ok());
   ASSERT_EQ(lists_back.size(), 3u);
   EXPECT_TRUE(lists_back[1].empty());
   EXPECT_EQ(lists_back[2][0].id, 1u);
@@ -186,28 +189,17 @@ TEST(NetProtocolTest, V3ResultCarriesGraphEpoch) {
   RankedList back;
   uint64_t epoch = 0;
   ASSERT_TRUE(
-      DecodeResult(EncodeResult(list, 7, 3), limits, 3, &back, &epoch).ok());
+      DecodeResult(EncodeResult(list, 7), limits, &back, &epoch).ok());
   EXPECT_EQ(epoch, 7u);
   ASSERT_EQ(back.size(), 2u);
-
-  // v2 encoding drops the epoch — the payload is 8 bytes shorter and
-  // decodes to epoch 0.
-  EXPECT_EQ(EncodeResult(list, 7, 3).size() - EncodeResult(list, 7, 2).size(),
-            8u);
-  ASSERT_TRUE(
-      DecodeResult(EncodeResult(list, 7, 2), limits, 2, &back, &epoch).ok());
-  EXPECT_EQ(epoch, 0u);
-  // Cross-version decode must fail cleanly, not misalign.
-  RankedList junk;
-  EXPECT_FALSE(DecodeResult(EncodeResult(list, 7, 3), limits, 2, &junk).ok());
 
   // Batch: per-list epochs round-trip.
   std::vector<RankedList> lists = {list, {}};
   std::vector<uint64_t> epochs = {4, 9};
   std::vector<RankedList> lists_back;
   std::vector<uint64_t> epochs_back;
-  ASSERT_TRUE(DecodeResultBatch(EncodeResultBatch(lists, epochs, 3), limits,
-                                3, &lists_back, &epochs_back)
+  ASSERT_TRUE(DecodeResultBatch(EncodeResultBatch(lists, epochs), limits,
+                                &lists_back, &epochs_back)
                   .ok());
   ASSERT_EQ(lists_back.size(), 2u);
   EXPECT_EQ(epochs_back, (std::vector<uint64_t>{4, 9}));
@@ -276,7 +268,7 @@ TEST(NetProtocolTest, StatsRoundTrip) {
   s.deadline_exceeded = 5;
   s.p99_us = 1024.0;
   service::StatsSnapshot back;
-  ASSERT_TRUE(DecodeStats(EncodeStats(s), kProtocolVersion, &back).ok());
+  ASSERT_TRUE(DecodeStats(EncodeStats(s), &back).ok());
   EXPECT_EQ(back.queries, 100u);
   EXPECT_EQ(back.shed_overload, 3u);
   EXPECT_EQ(back.connections_accepted, 17u);
@@ -284,15 +276,14 @@ TEST(NetProtocolTest, StatsRoundTrip) {
   EXPECT_DOUBLE_EQ(back.HitRate(), 0.4);
   EXPECT_EQ(back.deadline_exceeded, 5u);
 
-  // v1 layout omits deadline_exceeded but keeps every other field.
-  service::StatsSnapshot v1;
-  ASSERT_TRUE(DecodeStats(EncodeStats(s, 1), 1, &v1).ok());
-  EXPECT_EQ(v1.queries, 100u);
-  EXPECT_EQ(v1.deadline_exceeded, 0u);
-  EXPECT_DOUBLE_EQ(v1.p99_us, 1024.0);
-  // Cross-version decode must fail cleanly, not misalign.
-  EXPECT_FALSE(DecodeStats(EncodeStats(s, 1), 2, &v1).ok());
-  EXPECT_FALSE(DecodeStats(EncodeStats(s, 2), 1, &v1).ok());
+  // Every strict prefix and any trailing byte fail cleanly.
+  std::vector<uint8_t> payload = EncodeStats(s);
+  for (size_t n = 0; n < payload.size(); ++n) {
+    EXPECT_FALSE(DecodeStats({payload.data(), n}, &back).ok())
+        << "prefix length " << n;
+  }
+  payload.push_back(0);
+  EXPECT_FALSE(DecodeStats(payload, &back).ok());
 }
 
 TEST(NetProtocolTest, ErrorRoundTripAndStatusMapping) {
@@ -325,9 +316,7 @@ TEST(NetProtocolTest, PayloadReaderStopsAtTruncation) {
       EncodeRecommendBatch({{1, 0, 5}, {2, 1, 3}, {3, 2, 7}});
   std::vector<RecommendRequest> out;
   for (size_t n = 0; n < payload.size(); ++n) {
-    EXPECT_FALSE(DecodeRecommendBatch({payload.data(), n}, limits,
-                                      kProtocolVersion, &out)
-                     .ok())
+    EXPECT_FALSE(DecodeRecommendBatch({payload.data(), n}, limits, &out).ok())
         << "prefix length " << n;
   }
 }
@@ -341,19 +330,10 @@ TEST(NetProtocolTest, V2RecommendCarriesDeadlineAndExclude) {
   req.deadline_ms = 250;
   req.exclude = {3, 14, 15};
   RecommendRequest back;
-  ASSERT_TRUE(
-      DecodeRecommend(EncodeRecommend(req, 2), limits, 2, &back).ok());
+  ASSERT_TRUE(DecodeRecommend(EncodeRecommend(req), limits, &back).ok());
   EXPECT_EQ(back.user, 9u);
   EXPECT_EQ(back.deadline_ms, 250u);
   EXPECT_EQ(back.exclude, (std::vector<uint32_t>{3, 14, 15}));
-
-  // Encoding at v1 drops the v2 fields entirely.
-  std::vector<uint8_t> v1_payload = EncodeRecommend(req, 1);
-  EXPECT_EQ(v1_payload.size(), 12u);
-  ASSERT_TRUE(DecodeRecommend(v1_payload, limits, 1, &back).ok());
-  EXPECT_EQ(back.user, 9u);
-  EXPECT_EQ(back.deadline_ms, 0u);
-  EXPECT_TRUE(back.exclude.empty());
 }
 
 TEST(NetProtocolTest, V2RecommendRejectsOversizedExclude) {
@@ -365,11 +345,9 @@ TEST(NetProtocolTest, V2RecommendRejectsOversizedExclude) {
   req.top_n = 5;
   req.exclude = {1, 2, 3, 4, 5};
   RecommendRequest back;
-  EXPECT_FALSE(
-      DecodeRecommend(EncodeRecommend(req, 2), limits, 2, &back).ok());
+  EXPECT_FALSE(DecodeRecommend(EncodeRecommend(req), limits, &back).ok());
   req.exclude = {1, 2, 3, 4};
-  EXPECT_TRUE(
-      DecodeRecommend(EncodeRecommend(req, 2), limits, 2, &back).ok());
+  EXPECT_TRUE(DecodeRecommend(EncodeRecommend(req), limits, &back).ok());
 }
 
 TEST(NetProtocolTest, V2BatchRoundTripsPerQueryTails) {
@@ -385,9 +363,8 @@ TEST(NetProtocolTest, V2BatchRoundTripsPerQueryTails) {
   b.top_n = 3;
   b.deadline_ms = 100;
   std::vector<RecommendRequest> back;
-  ASSERT_TRUE(DecodeRecommendBatch(EncodeRecommendBatch({a, b}, 2), limits,
-                                   2, &back)
-                  .ok());
+  ASSERT_TRUE(
+      DecodeRecommendBatch(EncodeRecommendBatch({a, b}), limits, &back).ok());
   ASSERT_EQ(back.size(), 2u);
   EXPECT_EQ(back[0].exclude, std::vector<uint32_t>{7});
   EXPECT_EQ(back[0].deadline_ms, 0u);
@@ -403,10 +380,10 @@ TEST(NetProtocolTest, V2PayloadTruncationFailsCleanly) {
   req.top_n = 5;
   req.deadline_ms = 9;
   req.exclude = {1, 2, 3};
-  std::vector<uint8_t> payload = EncodeRecommend(req, 2);
+  std::vector<uint8_t> payload = EncodeRecommend(req);
   RecommendRequest out;
   for (size_t n = 0; n < payload.size(); ++n) {
-    EXPECT_FALSE(DecodeRecommend({payload.data(), n}, limits, 2, &out).ok())
+    EXPECT_FALSE(DecodeRecommend({payload.data(), n}, limits, &out).ok())
         << "prefix length " << n;
   }
 }
@@ -447,7 +424,7 @@ TEST(NetProtocolTest, KindNamesAndClasses) {
   EXPECT_FALSE(IsMutationKind(MessageKind::kRecommend));
 }
 
-// ---- Protocol v5: the served_tier byte (degradation ladder). ----
+// ---- The served_tier byte (degradation ladder). ----
 
 TEST(NetProtocolTest, V5ResultCarriesServedTier) {
   WireLimits limits;
@@ -461,8 +438,8 @@ TEST(NetProtocolTest, V5ResultCarriesServedTier) {
   uint64_t epoch = 0;
   CoordTrailer tback;
   uint8_t tier = 0;
-  ASSERT_TRUE(DecodeResult(EncodeResult(list, 7, 5, trailer, 2), limits, 5,
-                           &back, &epoch, &tback, &tier)
+  ASSERT_TRUE(DecodeResult(EncodeResult(list, 7, trailer, 2), limits, &back,
+                           &epoch, &tback, &tier)
                   .ok());
   ASSERT_EQ(back.size(), 2u);
   EXPECT_EQ(epoch, 7u);
@@ -470,68 +447,24 @@ TEST(NetProtocolTest, V5ResultCarriesServedTier) {
   EXPECT_EQ(tback.partial, 1u);
   EXPECT_EQ(tback.shards_answered, 3u);
 
-  // A v5 encode defaults the tier to 0 (exact) when the caller omits it.
-  ASSERT_TRUE(
-      DecodeResult(EncodeResult(list, 7, 5), limits, 5, &back, &epoch,
-                   nullptr, &tier)
-          .ok());
+  // The tier defaults to 0 (exact) when the caller omits it.
+  ASSERT_TRUE(DecodeResult(EncodeResult(list, 7), limits, &back, &epoch,
+                           nullptr, &tier)
+                  .ok());
   EXPECT_EQ(tier, 0u);
-}
-
-TEST(NetProtocolTest, V5InteropPinsV1ThroughV4Layouts) {
-  WireLimits limits;
-  RankedList list = {{11, 0.5}, {22, 0.25}};
-  const size_t n = list.size();
-
-  // Layout pins: [epoch u64 (v3+)][served_tier u8 (v5+)][count u32 +
-  // 12B/entry][coord trailer (v4+)]. A v5 reply is exactly one byte
-  // longer than v4; the pre-v5 layouts are frozen.
-  const std::vector<uint8_t> v1 = EncodeResult(list, 7, 1);
-  const std::vector<uint8_t> v2 = EncodeResult(list, 7, 2);
-  const std::vector<uint8_t> v3 = EncodeResult(list, 7, 3);
-  const std::vector<uint8_t> v4 = EncodeResult(list, 7, 4);
-  const std::vector<uint8_t> v5 = EncodeResult(list, 7, 5, {}, 1);
-  EXPECT_EQ(v1.size(), 4 + n * kResultEntryBytes);
-  EXPECT_EQ(v2, v1);  // v2 changed requests only, not RESULT
-  EXPECT_EQ(v3.size(), 8 + 4 + n * kResultEntryBytes);
-  EXPECT_EQ(v4.size(), v3.size() + kCoordTrailerBytes);
-  EXPECT_EQ(v5.size(), v4.size() + 1);
-
-  // Byte-level compatibility: v5 is the v4 layout with one byte spliced
-  // in after the epoch.
-  EXPECT_TRUE(std::equal(v4.begin(), v4.begin() + 8, v5.begin()));
-  EXPECT_EQ(v5[8], 1u);  // the served_tier byte
-  EXPECT_TRUE(std::equal(v4.begin() + 8, v4.end(), v5.begin() + 9));
-
-  // Every historical version still decodes its own bytes.
-  for (uint16_t v = 1; v <= 4; ++v) {
-    RankedList back;
-    uint64_t epoch = 0;
-    uint8_t tier = 77;
-    ASSERT_TRUE(DecodeResult(EncodeResult(list, 7, v), limits, v, &back,
-                             &epoch, nullptr, &tier)
-                    .ok())
-        << "version " << v;
-    ASSERT_EQ(back.size(), 2u) << "version " << v;
-    EXPECT_EQ(tier, 0u) << "pre-v5 decode must default the tier";
-  }
-  // Cross-version decode fails cleanly, not misaligned.
-  RankedList junk;
-  EXPECT_FALSE(DecodeResult(v5, limits, 4, &junk).ok());
-  EXPECT_FALSE(DecodeResult(v4, limits, 5, &junk).ok());
 }
 
 TEST(NetProtocolTest, V5ServedTierOutOfRangeIsRejected) {
   WireLimits limits;
   RankedList list = {{11, 0.5}};
-  std::vector<uint8_t> payload = EncodeResult(list, 7, 5, {}, 2);
+  std::vector<uint8_t> payload = EncodeResult(list, 7, {}, 2);
   payload[8] = 3;  // one past kMaxServedTier
   RankedList back;
-  util::Status st = DecodeResult(payload, limits, 5, &back);
+  util::Status st = DecodeResult(payload, limits, &back);
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(st.code(), util::StatusCode::kInvalidArgument);
   payload[8] = 255;
-  EXPECT_FALSE(DecodeResult(payload, limits, 5, &back).ok());
+  EXPECT_FALSE(DecodeResult(payload, limits, &back).ok());
 }
 
 TEST(NetProtocolTest, V5BatchCarriesPerListTiers) {
@@ -543,29 +476,25 @@ TEST(NetProtocolTest, V5BatchCarriesPerListTiers) {
   std::vector<RankedList> lists_back;
   std::vector<uint64_t> epochs_back;
   std::vector<uint8_t> tiers_back;
-  ASSERT_TRUE(DecodeResultBatch(EncodeResultBatch(lists, epochs, 5, {}, tiers),
-                                limits, 5, &lists_back, &epochs_back, nullptr,
+  ASSERT_TRUE(DecodeResultBatch(EncodeResultBatch(lists, epochs, {}, tiers),
+                                limits, &lists_back, &epochs_back, nullptr,
                                 &tiers_back)
                   .ok());
   ASSERT_EQ(lists_back.size(), 3u);
   EXPECT_EQ(epochs_back, epochs);
   EXPECT_EQ(tiers_back, tiers);
 
-  // Omitted tiers encode as 0; pre-v5 decodes report all-zero tiers.
-  ASSERT_TRUE(DecodeResultBatch(EncodeResultBatch(lists, epochs, 5), limits,
-                                5, &lists_back, nullptr, nullptr, &tiers_back)
-                  .ok());
-  EXPECT_EQ(tiers_back, (std::vector<uint8_t>{0, 0, 0}));
-  ASSERT_TRUE(DecodeResultBatch(EncodeResultBatch(lists, epochs, 4), limits,
-                                4, &lists_back, nullptr, nullptr, &tiers_back)
+  // Omitted tiers encode as 0.
+  ASSERT_TRUE(DecodeResultBatch(EncodeResultBatch(lists, epochs), limits,
+                                &lists_back, nullptr, nullptr, &tiers_back)
                   .ok());
   EXPECT_EQ(tiers_back, (std::vector<uint8_t>{0, 0, 0}));
 
   // A batch with one out-of-range tier byte fails as a whole.
   const std::vector<uint8_t> bad_tiers = {0, 3, 1};
   std::vector<uint8_t> bad =
-      EncodeResultBatch(lists, epochs, 5, {}, bad_tiers);
-  EXPECT_FALSE(DecodeResultBatch(bad, limits, 5, &lists_back).ok());
+      EncodeResultBatch(lists, epochs, {}, bad_tiers);
+  EXPECT_FALSE(DecodeResultBatch(bad, limits, &lists_back).ok());
 }
 
 TEST(NetProtocolTest, V5StatsCarriesTierCounters) {
@@ -576,25 +505,14 @@ TEST(NetProtocolTest, V5StatsCarriesTierCounters) {
   s.tier_stale = 1;
   s.degraded = 4;
   service::StatsSnapshot back;
-  ASSERT_TRUE(DecodeStats(EncodeStats(s, 5), 5, &back).ok());
+  ASSERT_TRUE(DecodeStats(EncodeStats(s), &back).ok());
   EXPECT_EQ(back.tier_exact, 6u);
   EXPECT_EQ(back.tier_approx, 3u);
   EXPECT_EQ(back.tier_stale, 1u);
   EXPECT_EQ(back.degraded, 4u);
-
-  // The v4 layout has no tier fields; decoding it must zero them.
-  service::StatsSnapshot v4;
-  v4.tier_exact = 99;
-  ASSERT_TRUE(DecodeStats(EncodeStats(s, 4), 4, &v4).ok());
-  EXPECT_EQ(v4.queries, 10u);
-  EXPECT_EQ(v4.tier_exact, 0u);
-  EXPECT_EQ(v4.degraded, 0u);
-  // Cross-version decode must fail cleanly, not misalign.
-  EXPECT_FALSE(DecodeStats(EncodeStats(s, 4), 5, &v4).ok());
-  EXPECT_FALSE(DecodeStats(EncodeStats(s, 5), 4, &v4).ok());
 }
 
-// Hostile-bytes sweep over the v5 RESULT codecs: every single-byte
+// Hostile-bytes sweep over the RESULT codecs: every single-byte
 // truncation and every single-bit flip of a valid payload must either
 // decode to in-range values or fail with a clean Status — never crash,
 // and never hand back a served_tier outside the enum.
@@ -605,22 +523,22 @@ TEST(NetProtocolTest, V5ResultSurvivesTruncationAndBitFlips) {
   trailer.shards_total = 2;
   trailer.shards_answered = 2;
   const std::vector<uint8_t> single =
-      EncodeResult(lists[0], 7, 5, trailer, 1);
+      EncodeResult(lists[0], 7, trailer, 1);
   const std::vector<uint64_t> sweep_epochs = {7, 8};
   const std::vector<uint8_t> sweep_tiers = {1, 2};
   const std::vector<uint8_t> batch =
-      EncodeResultBatch(lists, sweep_epochs, 5, trailer, sweep_tiers);
+      EncodeResultBatch(lists, sweep_epochs, trailer, sweep_tiers);
 
   for (size_t keep = 0; keep < single.size(); ++keep) {
     RankedList back;
     std::vector<uint8_t> cut(single.begin(), single.begin() + keep);
-    EXPECT_FALSE(DecodeResult(cut, limits, 5, &back).ok())
+    EXPECT_FALSE(DecodeResult(cut, limits, &back).ok())
         << "truncated to " << keep << " bytes";
   }
   for (size_t keep = 0; keep < batch.size(); ++keep) {
     std::vector<RankedList> back;
     std::vector<uint8_t> cut(batch.begin(), batch.begin() + keep);
-    EXPECT_FALSE(DecodeResultBatch(cut, limits, 5, &back).ok())
+    EXPECT_FALSE(DecodeResultBatch(cut, limits, &back).ok())
         << "batch truncated to " << keep << " bytes";
   }
   for (size_t byte = 0; byte < batch.size(); ++byte) {
@@ -630,8 +548,7 @@ TEST(NetProtocolTest, V5ResultSurvivesTruncationAndBitFlips) {
       std::vector<RankedList> back;
       std::vector<uint8_t> tiers;
       util::Status st =
-          DecodeResultBatch(flipped, limits, 5, &back, nullptr, nullptr,
-                            &tiers);
+          DecodeResultBatch(flipped, limits, &back, nullptr, nullptr, &tiers);
       if (st.ok()) {
         for (uint8_t t : tiers) {
           EXPECT_LE(t, kMaxServedTier)
@@ -640,6 +557,267 @@ TEST(NetProtocolTest, V5ResultSurvivesTruncationAndBitFlips) {
       }
     }
   }
+}
+
+
+// ---- Golden frames. ----
+//
+// One byte-exact frame per kind, recorded from the v5 encoder as it stood
+// when it still took a version parameter. Re-encoding the same values must
+// reproduce every byte, and decoding the recorded bytes must give the
+// values back (doubles compared by bit pattern), so a layout cannot drift
+// silently: changing one means changing these bytes and kProtocolVersion.
+
+std::vector<uint8_t> FromHex(const std::string& hex) {
+  std::vector<uint8_t> out;
+  for (size_t i = 0; i + 1 < hex.size(); i += 2) {
+    out.push_back(static_cast<uint8_t>(std::stoul(hex.substr(i, 2), nullptr,
+                                                  16)));
+  }
+  return out;
+}
+
+// Asserts Frame(kind, id, payload) matches `hex` byte for byte and returns
+// the recorded frame's payload (header checked: version, kind, id, CRC).
+std::vector<uint8_t> ExpectGolden(MessageKind kind, uint64_t id,
+                                  const std::vector<uint8_t>& payload,
+                                  const std::string& hex) {
+  const std::vector<uint8_t> golden = FromHex(hex);
+  EXPECT_EQ(Frame(kind, id, payload), golden) << MessageKindName(kind);
+  FrameHeader h;
+  EXPECT_EQ(ParseFrameHeader(golden, WireLimits{}, &h), HeaderParse::kOk);
+  EXPECT_TRUE(CheckFrameVersion(h).ok());
+  EXPECT_EQ(h.kind, kind);
+  EXPECT_EQ(h.request_id, id);
+  std::vector<uint8_t> body(golden.begin() + kFrameHeaderBytes, golden.end());
+  EXPECT_TRUE(VerifyPayloadCrc(h, body).ok());
+  return body;
+}
+
+uint64_t Bits(double d) { return std::bit_cast<uint64_t>(d); }
+
+void ExpectSameList(const RankedList& a, const RankedList& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].id, b[i].id) << "entry " << i;
+    EXPECT_EQ(Bits(a[i].score), Bits(b[i].score)) << "entry " << i;
+  }
+}
+
+RecommendRequest GoldenQuery() {
+  RecommendRequest q;
+  q.user = 7;
+  q.topic = 3;
+  q.top_n = 10;
+  q.deadline_ms = 250;
+  q.exclude = {11, 12};
+  return q;
+}
+
+const RankedList kGoldenList = {{5, 0.75}, {8, 1.0 / 3.0}};
+
+TEST(NetProtocolGoldenTest, Ping) {
+  std::vector<uint8_t> body = ExpectGolden(
+      MessageKind::kPing, 1, {},
+      "4d4257310500010001000000000000000000000000000000");
+  EXPECT_TRUE(body.empty());
+}
+
+TEST(NetProtocolGoldenTest, Recommend) {
+  const RecommendRequest q = GoldenQuery();
+  std::vector<uint8_t> body = ExpectGolden(
+      MessageKind::kRecommend, 2, EncodeRecommend(q),
+      "4d4257310500020002000000000000001c0000001c54dd070700000003000000"
+      "0a000000fa000000020000000b0000000c000000");
+  RecommendRequest back;
+  ASSERT_TRUE(DecodeRecommend(body, WireLimits{}, &back).ok());
+  EXPECT_EQ(back.user, q.user);
+  EXPECT_EQ(back.topic, q.topic);
+  EXPECT_EQ(back.top_n, q.top_n);
+  EXPECT_EQ(back.deadline_ms, q.deadline_ms);
+  EXPECT_EQ(back.exclude, q.exclude);
+}
+
+TEST(NetProtocolGoldenTest, RecommendBatch) {
+  RecommendRequest b;
+  b.user = 9;
+  b.topic = 1;
+  b.top_n = 4;
+  std::vector<uint8_t> body = ExpectGolden(
+      MessageKind::kRecommendBatch, 3, EncodeRecommendBatch({GoldenQuery(), b}),
+      "4d42573105000300030000000000000034000000ffad93da0200000007000000"
+      "030000000a000000fa000000020000000b0000000c0000000900000001000000"
+      "040000000000000000000000");
+  std::vector<RecommendRequest> back;
+  ASSERT_TRUE(DecodeRecommendBatch(body, WireLimits{}, &back).ok());
+  ASSERT_EQ(back.size(), 2u);
+  EXPECT_EQ(back[0].exclude, GoldenQuery().exclude);
+  EXPECT_EQ(back[1].user, 9u);
+  EXPECT_EQ(back[1].deadline_ms, 0u);
+  EXPECT_TRUE(back[1].exclude.empty());
+}
+
+TEST(NetProtocolGoldenTest, Result) {
+  std::vector<uint8_t> body = ExpectGolden(
+      MessageKind::kResult, 4, EncodeResult(kGoldenList, 42, {}, 1),
+      "4d4257310500410004000000000000002a0000002ef9f8da2a00000000000000"
+      "010200000005000000000000000000e83f08000000555555555555d53f000100"
+      "0100");
+  RankedList back;
+  uint64_t epoch = 0;
+  CoordTrailer coord;
+  uint8_t tier = 0;
+  ASSERT_TRUE(
+      DecodeResult(body, WireLimits{}, &back, &epoch, &coord, &tier).ok());
+  ExpectSameList(back, kGoldenList);
+  EXPECT_EQ(epoch, 42u);
+  EXPECT_EQ(tier, 1u);
+  EXPECT_EQ(coord.partial, 0u);
+  EXPECT_EQ(coord.shards_answered, 1u);
+  EXPECT_EQ(coord.shards_total, 1u);
+}
+
+TEST(NetProtocolGoldenTest, ResultBatchWithTrailerAndTiers) {
+  const std::vector<RankedList> lists = {kGoldenList, {}, {{2, -0.0}}};
+  const std::vector<uint64_t> epochs = {42, 43, 44};
+  const std::vector<uint8_t> tiers = {0, 2, 1};
+  CoordTrailer partial;
+  partial.partial = 1;
+  partial.shards_answered = 1;
+  partial.shards_total = 2;
+  std::vector<uint8_t> body = ExpectGolden(
+      MessageKind::kResultBatch, 5,
+      EncodeResultBatch(lists, epochs, partial, tiers),
+      "4d42573105004200050000000000000054000000d8a1cddf030000002a000000"
+      "00000000000200000005000000000000000000e83f08000000555555555555d5"
+      "3f2b0000000000000002000000002c0000000000000001010000000200000000"
+      "000000000000800101000200");
+  std::vector<RankedList> back;
+  std::vector<uint64_t> epochs_back;
+  CoordTrailer coord;
+  std::vector<uint8_t> tiers_back;
+  ASSERT_TRUE(DecodeResultBatch(body, WireLimits{}, &back, &epochs_back,
+                                &coord, &tiers_back)
+                  .ok());
+  ASSERT_EQ(back.size(), lists.size());
+  for (size_t i = 0; i < lists.size(); ++i) ExpectSameList(back[i], lists[i]);
+  EXPECT_EQ(epochs_back, epochs);
+  EXPECT_EQ(tiers_back, tiers);
+  EXPECT_EQ(coord.partial, 1u);
+  EXPECT_EQ(coord.shards_answered, 1u);
+  EXPECT_EQ(coord.shards_total, 2u);
+}
+
+TEST(NetProtocolGoldenTest, StatsResult) {
+  service::StatsSnapshot s;
+  s.queries = 1;
+  s.batches = 2;
+  s.cache_hits = 3;
+  s.cache_misses = 4;
+  s.invalidations = 5;
+  s.deadline_exceeded = 6;
+  s.params_epoch = 7;
+  s.shed_overload = 8;
+  s.shed_deadline = 9;
+  s.connections_accepted = 10;
+  s.connections_open = 11;
+  s.p50_us = 12.5;
+  s.p90_us = 13.25;
+  s.p99_us = 14.125;
+  s.shards_total = 15;
+  s.shards_up = 16;
+  s.tier_exact = 17;
+  s.tier_approx = 18;
+  s.tier_stale = 19;
+  s.degraded = 20;
+  std::vector<uint8_t> body = ExpectGolden(
+      MessageKind::kStatsResult, 6, EncodeStats(s),
+      "4d4257310500430006000000000000009800000003ef824c0100000000000000"
+      "0200000000000000030000000000000004000000000000000500000000000000"
+      "0600000000000000070000000000000008000000000000000900000000000000"
+      "0a000000000000000b0000000000000000000000000029400000000000802a40"
+      "0000000000402c400f0000001000000011000000000000001200000000000000"
+      "13000000000000001400000000000000");
+  service::StatsSnapshot back;
+  ASSERT_TRUE(DecodeStats(body, &back).ok());
+  EXPECT_EQ(back.queries, 1u);
+  EXPECT_EQ(back.deadline_exceeded, 6u);
+  EXPECT_EQ(back.connections_open, 11u);
+  EXPECT_EQ(Bits(back.p50_us), Bits(12.5));
+  EXPECT_EQ(Bits(back.p99_us), Bits(14.125));
+  EXPECT_EQ(back.shards_total, 15u);
+  EXPECT_EQ(back.shards_up, 16u);
+  EXPECT_EQ(back.tier_exact, 17u);
+  EXPECT_EQ(back.degraded, 20u);
+}
+
+TEST(NetProtocolGoldenTest, FollowMutation) {
+  const std::vector<MutationRecord> recs = {{1, 2, 0x5}, {3, 4, 0x80}};
+  std::vector<uint8_t> body = ExpectGolden(
+      MessageKind::kFollow, 7, EncodeMutation(MessageKind::kFollow, recs),
+      "4d42573105000700070000000000000024000000011341f80200000001000000"
+      "02000000050000000000000003000000040000008000000000000000");
+  std::vector<MutationRecord> back;
+  ASSERT_TRUE(
+      DecodeMutation(body, WireLimits{}, MessageKind::kFollow, &back).ok());
+  ASSERT_EQ(back.size(), 2u);
+  EXPECT_EQ(back[1].src, 3u);
+  EXPECT_EQ(back[1].dst, 4u);
+  EXPECT_EQ(back[1].labels, 0x80u);
+}
+
+TEST(NetProtocolGoldenTest, MutateAck) {
+  std::vector<uint8_t> body = ExpectGolden(
+      MessageKind::kMutateAck, 8, EncodeMutateAck({2, 1, 99}),
+      "4d425731050048000800000000000000100000000185daae0200000001000000"
+      "6300000000000000");
+  MutateAck back;
+  ASSERT_TRUE(DecodeMutateAck(body, &back).ok());
+  EXPECT_EQ(back.applied, 2u);
+  EXPECT_EQ(back.rejected, 1u);
+  EXPECT_EQ(back.graph_epoch, 99u);
+}
+
+TEST(NetProtocolGoldenTest, RecommendPartial) {
+  RecommendRequest q;
+  q.user = 4;
+  q.topic = 2;
+  q.top_n = 5;
+  q.deadline_ms = 2000;
+  std::vector<uint8_t> body = ExpectGolden(
+      MessageKind::kRecommendPartial, 9, EncodeRecommend(q),
+      "4d42573105000a00090000000000000014000000356a819d0400000002000000"
+      "05000000d007000000000000");
+  RecommendRequest back;
+  ASSERT_TRUE(DecodeRecommend(body, WireLimits{}, &back).ok());
+  EXPECT_EQ(back.user, 4u);
+  EXPECT_EQ(back.deadline_ms, 2000u);
+}
+
+TEST(NetProtocolGoldenTest, LandmarkVectors) {
+  LandmarkVectorsReply vec;
+  vec.graph_epoch = 77;
+  LandmarkList l1;
+  l1.landmark = 30;
+  l1.entries = {{31, 0.5, 0.25}, {32, 0.125, 1.5}};
+  LandmarkList l2;
+  l2.landmark = 40;
+  vec.lists = {l1, l2};
+  std::vector<uint8_t> body = ExpectGolden(
+      MessageKind::kLandmarkVectors, 10, EncodeLandmarkVectors(vec),
+      "4d42573105004a000a000000000000004400000038cf54eb4d00000000000000"
+      "020000001e000000020000001f000000000000000000e03f000000000000d03f"
+      "20000000000000000000c03f000000000000f83f2800000000000000");
+  LandmarkVectorsReply back;
+  ASSERT_TRUE(DecodeLandmarkVectors(body, WireLimits{}, &back).ok());
+  EXPECT_EQ(back.graph_epoch, 77u);
+  ASSERT_EQ(back.lists.size(), 2u);
+  ASSERT_EQ(back.lists[0].entries.size(), 2u);
+  EXPECT_EQ(back.lists[0].entries[1].node, 32u);
+  EXPECT_EQ(Bits(back.lists[0].entries[1].sigma), Bits(0.125));
+  EXPECT_EQ(Bits(back.lists[0].entries[1].topo_beta), Bits(1.5));
+  EXPECT_EQ(back.lists[1].landmark, 40u);
+  EXPECT_TRUE(back.lists[1].entries.empty());
 }
 
 }  // namespace

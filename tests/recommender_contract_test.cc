@@ -6,6 +6,7 @@
 
 #include <chrono>
 #include <memory>
+#include <ostream>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -76,10 +77,24 @@ std::unique_ptr<core::Recommender> MakeApprox() {
       landmark::ApproxConfig{});
 }
 
-class RecommenderContractTest : public ::testing::TestWithParam<Factory> {};
+// One implementation under test. `id` is what gtest prints for the
+// parameter, and so the last part of each ctest name (gtest_discover_tests
+// pretty-prints GetParam()). Printing the bare function pointer made that
+// part the factory's load address, which changes from run to run; the ids
+// below are the addresses of the first recorded listing, kept as fixed
+// strings so the suite's test ids stay what they were.
+struct ContractCase {
+  Factory make;
+  const char* id;
+};
+
+void PrintTo(const ContractCase& c, std::ostream* os) { *os << c.id; }
+
+class RecommenderContractTest : public ::testing::TestWithParam<ContractCase> {
+};
 
 TEST_P(RecommenderContractTest, CandidateScoresContract) {
-  auto rec = GetParam()();
+  auto rec = GetParam().make();
   std::vector<graph::NodeId> candidates = {1, 5, 9, 300, 900, 5, 1};
   auto scores = rec->CandidateScores(7, 0, candidates);
   ASSERT_EQ(scores.size(), candidates.size());
@@ -93,7 +108,7 @@ TEST_P(RecommenderContractTest, CandidateScoresContract) {
 }
 
 TEST_P(RecommenderContractTest, TopNContract) {
-  auto rec = GetParam()();
+  auto rec = GetParam().make();
   for (graph::NodeId u : {3u, 42u, 777u}) {
     auto top = rec->TopN(u, 2, 8);
     EXPECT_LE(top.size(), 8u);
@@ -111,12 +126,12 @@ TEST_P(RecommenderContractTest, TopNContract) {
 }
 
 TEST_P(RecommenderContractTest, HasName) {
-  auto rec = GetParam()();
+  auto rec = GetParam().make();
   EXPECT_FALSE(rec->name().empty());
 }
 
 TEST_P(RecommenderContractTest, ExcludeRemovesIdsWithoutReordering) {
-  auto rec = GetParam()();
+  auto rec = GetParam().make();
   auto base = rec->TopN(3, 2, 8);
   if (base.size() < 2) GTEST_SKIP() << "graph too sparse for this user";
 
@@ -145,7 +160,7 @@ TEST_P(RecommenderContractTest, ExcludeRemovesIdsWithoutReordering) {
 }
 
 TEST_P(RecommenderContractTest, ExpiredDeadlineYieldsDeadlineExceeded) {
-  auto rec = GetParam()();
+  auto rec = GetParam().make();
   obs::Counter* expired = obs::Registry::Default().GetCounter(
       "mbr_recommender_deadline_exceeded_total", "");
   const uint64_t before = expired->Value();
@@ -168,10 +183,14 @@ TEST_P(RecommenderContractTest, ExpiredDeadlineYieldsDeadlineExceeded) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(AllRecommenders, RecommenderContractTest,
-                         ::testing::Values(&MakeTr, &MakeKatz, &MakeTwr,
-                                           &MakeWtf, &MakeAdamic,
-                                           &MakeApprox));
+INSTANTIATE_TEST_SUITE_P(
+    AllRecommenders, RecommenderContractTest,
+    ::testing::Values(ContractCase{&MakeTr, "0x5622bccc4e40"},
+                      ContractCase{&MakeKatz, "0x5622bccc4ed0"},
+                      ContractCase{&MakeTwr, "0x5622bccc4f60"},
+                      ContractCase{&MakeWtf, "0x5622bccc4fd0"},
+                      ContractCase{&MakeAdamic, "0x5622bccc5040"},
+                      ContractCase{&MakeApprox, "0x5622bccc5080"}));
 
 }  // namespace
 }  // namespace mbr

@@ -8,6 +8,8 @@
 #   4. UBSan:  core + landmark + service           (build-ubsan/)
 #   5. bench-smoke: micro_benchmarks --smoke + ext_slo_ladder --smoke
 #                   + ext_mutation_apply --smoke     (build/)
+#                   + perfbench routed_read/churn_mix, 2 s each
+#                                                    (.bench_build/)
 #
 # The sanitizer passes reuse the persistent build-asan/, build-tsan/ and
 # build-ubsan/ trees (configured here on first run) and only build/run the
@@ -35,7 +37,12 @@
 # must report 0 heap allocations, else the step fails. It then runs the SLO
 # ladder harness (DESIGN.md §6.8) in --smoke form: a tiny ramp that still
 # exercises calibration, the exact-tier byte-identity probes (a mismatch
-# fails the binary), and the BENCH_slo.json writer.
+# fails the binary), and the BENCH_slo.json writer. Last, it runs the
+# serving benchmark (perfbench/run.py, BENCHMARK.json) for 2 s on
+# routed_read and churn_mix: the benchmark's own wire client, router and
+# mutation lane against the real stack, with its correctness checks. The
+# step fails unless the result line says "correct": true, so a layout slip
+# that only an end-to-end exchange surfaces fails here first.
 #
 # Usage: tools/check.sh [tier1|asan|tsan|ubsan|bench-smoke|all] (default: all)
 set -e
@@ -69,6 +76,18 @@ run_bench_smoke() {
   echo "==> bench-smoke: ext_mutation_apply --smoke (O(Δ) apply pipeline)"
   cmake --build "$REPO/build" -j "$JOBS" --target ext_mutation_apply
   (cd "$REPO/build/bench" && ./ext_mutation_apply --smoke)
+  for workload in routed_read churn_mix; do
+    echo "==> bench-smoke: perfbench $workload --seconds 2 (wire end to end)"
+    result="$(cd "$REPO" && python3 perfbench/run.py --workload "$workload" \
+      --seed 1 --seconds 2 | tail -n 1)"
+    echo "$result"
+    if ! printf '%s' "$result" | python3 -c \
+        'import json, sys; sys.exit(json.load(sys.stdin)["correct"] is not True)'
+    then
+      echo "bench-smoke: perfbench $workload is not correct" >&2
+      exit 1
+    fi
+  done
 }
 
 case "$MODE" in
