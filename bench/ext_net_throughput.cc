@@ -214,7 +214,7 @@ int main() {
     }
     for (auto& w : workers) w.join();
   }
-  service::StatsSnapshot sat = small.StatsNow();
+  const obs::MetricsSnapshot sat = small.StatsNow();
   small.RequestStop();
   small.Wait();
   const uint64_t total = ok_count.load() + shed_count.load();
@@ -226,6 +226,7 @@ int main() {
       total > 0 ? 100.0 * static_cast<double>(shed_count.load()) /
                       static_cast<double>(total)
                 : 0.0,
-      static_cast<unsigned long long>(sat.shed_overload));
+      static_cast<unsigned long long>(
+          sat.CounterValue("mbr_net_shed_overload_total")));
   return 0;
 }

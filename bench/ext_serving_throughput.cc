@@ -81,21 +81,25 @@ int main() {
       util::WallTimer timer;
       engine.RecommendMany(batch);
       const double cold = timer.ElapsedSeconds();
-      const service::EngineStats after_cold = engine.Stats();
+      const obs::MetricsSnapshot after_cold = engine.registry().TakeSnapshot();
       timer.Restart();
       engine.RecommendMany(batch);
       const double warm = timer.ElapsedSeconds();
-      const service::EngineStats s = engine.Stats();
+      const obs::MetricsSnapshot s = engine.registry().TakeSnapshot();
 
       // Warm-pass hit rate: of the repeated batch's queries, how many were
       // O(1) cache lookups.
+      const char* hits = "mbr_engine_cache_hits_total";
       const double warm_hit_rate =
-          static_cast<double>(s.cache_hits - after_cold.cache_hits) /
+          static_cast<double>(s.CounterValue(hits) -
+                              after_cold.CounterValue(hits)) /
           static_cast<double>(num_queries);
+      const obs::Histogram::Snapshot latency =
+          s.HistogramValue("mbr_engine_latency_us");
       rows.push_back({threads, cache, num_queries / cold,
                       num_queries / warm, warm_hit_rate,
-                      s.LatencyPercentileMicros(0.5),
-                      s.LatencyPercentileMicros(0.99)});
+                      latency.PercentileLowerBound(0.5),
+                      latency.PercentileLowerBound(0.99)});
     }
   }
 

@@ -74,6 +74,11 @@ Router::Router(const ShardPlan& plan, const RouterConfig& config)
   metrics_.shard_latency_us = registry_->GetHistogram(
       "mbr_coord_shard_latency_us",
       "Per-shard RPC round-trip latency in microseconds.");
+  metrics_.shards_total = registry_->GetGauge(
+      "mbr_coord_shards_total", "Shards in the coordinator's plan.");
+  metrics_.shards_up = registry_->GetGauge(
+      "mbr_coord_shards_up", "Shards that answered the last STATS rollup.");
+  metrics_.shards_total->Set(plan_.num_shards());
 
   std::vector<net::ClientConfig> endpoints;
   endpoints.reserve(plan_.num_shards());
@@ -233,21 +238,13 @@ bool Router::HandleClientFrame(net::Connection* conn,
       return ok && false;  // close this connection after the ack flushes
     }
     case net::MessageKind::kStats: {
-      service::StatsSnapshot s = RollupStats();
-      std::vector<uint8_t> payload = net::EncodeStats(s);
+      std::vector<uint8_t> payload = net::EncodeStats(RollupStats());
       return conn->QueueReply(net::MessageKind::kStatsResult, h.request_id,
                               payload);
     }
     case net::MessageKind::kMetrics: {
-      std::string text = obs::RenderPrometheus(*registry_);
-      if (text.size() + 4 > config_.limits.max_payload_bytes) {
-        text.resize(config_.limits.max_payload_bytes > 4
-                        ? config_.limits.max_payload_bytes - 4
-                        : 0);
-        size_t nl = text.rfind('\n');
-        text.resize(nl == std::string::npos ? 0 : nl + 1);
-      }
-      std::vector<uint8_t> payload = net::EncodeMetricsResult(text);
+      std::vector<uint8_t> payload = net::EncodeMetricsResult(
+          obs::RenderPrometheus(*registry_), config_.limits);
       return conn->QueueReply(net::MessageKind::kMetricsResult, h.request_id,
                               payload);
     }
@@ -551,35 +548,18 @@ util::Result<Router::Routed> Router::RouteLandmark(
   return out;
 }
 
-service::StatsSnapshot Router::RollupStats() {
-  service::StatsSnapshot s;
-  uint32_t up = 0;
+obs::MetricsSnapshot Router::RollupStats() {
+  obs::MetricsSnapshot fleet;
+  int64_t up = 0;
   for (uint32_t shard = 0; shard < plan_.num_shards(); ++shard) {
     auto snap = CallShard(shard, [](net::Client& c) { return c.Stats(); });
     if (!snap.ok()) continue;
     ++up;
-    s.queries += snap->queries;
-    s.batches += snap->batches;
-    s.cache_hits += snap->cache_hits;
-    s.cache_misses += snap->cache_misses;
-    s.invalidations += snap->invalidations;
-    s.deadline_exceeded += snap->deadline_exceeded;
-    s.shed_overload += snap->shed_overload;
-    s.shed_deadline += snap->shed_deadline;
-    s.connections_accepted += snap->connections_accepted;
-    s.connections_open += snap->connections_open;
-    s.tier_exact += snap->tier_exact;
-    s.tier_approx += snap->tier_approx;
-    s.tier_stale += snap->tier_stale;
-    s.degraded += snap->degraded;
-    s.params_epoch = std::max(s.params_epoch, snap->params_epoch);
-    // Percentile floors: the fleet's p99 is at least the worst shard's.
-    s.p50_us = std::max(s.p50_us, snap->p50_us);
-    s.p90_us = std::max(s.p90_us, snap->p90_us);
-    s.p99_us = std::max(s.p99_us, snap->p99_us);
+    fleet.Merge(*snap);
   }
-  s.shards_total = plan_.num_shards();
-  s.shards_up = up;
+  metrics_.shards_up->Set(up);
+  obs::MetricsSnapshot s = registry_->TakeSnapshot();
+  s.Merge(fleet);
   return s;
 }
 

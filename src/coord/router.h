@@ -56,7 +56,6 @@
 #include "net/connection.h"
 #include "net/protocol.h"
 #include "obs/metrics.h"
-#include "service/serving_stats.h"
 #include "util/status.h"
 
 namespace mbr::coord {
@@ -107,9 +106,11 @@ class Router {
 
   bool running() const { return running_.load(std::memory_order_acquire); }
 
-  // The coordinator STATS rollup: sum of the shard snapshots (counters
-  // summed, percentile floors maxed) plus shards_total/shards_up.
-  service::StatsSnapshot RollupStats();
+  // The coordinator STATS rollup: the router's own registry snapshot
+  // merged with every answering shard's STATS snapshot (counters and
+  // histogram buckets sum, so fleet percentiles come from the merged
+  // histogram; gauges take the max). Refreshes mbr_coord_shards_up.
+  obs::MetricsSnapshot RollupStats();
 
   obs::Registry& registry() { return *registry_; }
 
@@ -162,6 +163,8 @@ class Router {
     obs::Counter* shard_errors = nullptr;      // failed shard RPCs
     obs::Counter* landmark_fetches = nullptr;  // LANDMARK_FETCH RPCs
     obs::Histogram* shard_latency_us = nullptr;
+    obs::Gauge* shards_total = nullptr;
+    obs::Gauge* shards_up = nullptr;  // as of the last RollupStats()
   };
 
   ShardPlan plan_;

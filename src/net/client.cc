@@ -390,7 +390,7 @@ util::Result<MutateAck> Client::Relabel(
   return Mutate(MessageKind::kRelabel, records);
 }
 
-util::Result<service::StatsSnapshot> Client::Stats() {
+util::Result<obs::MetricsSnapshot> Client::Stats() {
   auto reply = RoundTrip(MessageKind::kStats, {});
   if (!reply.ok()) return reply.status();
   if (reply->header.kind != MessageKind::kStatsResult) {
@@ -398,7 +398,7 @@ util::Result<service::StatsSnapshot> Client::Stats() {
         std::string("unexpected reply kind ") +
         MessageKindName(reply->header.kind));
   }
-  service::StatsSnapshot s;
+  obs::MetricsSnapshot s;
   MBR_RETURN_IF_ERROR(DecodeStats(reply->payload, &s));
   return s;
 }

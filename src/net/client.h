@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "net/protocol.h"
-#include "service/serving_stats.h"
 #include "util/status.h"
 
 namespace mbr::net {
@@ -98,7 +97,8 @@ class Client {
   // answering shard returns lists only for landmarks it homes.
   util::Result<LandmarkVectorsReply> FetchLandmarks(
       uint32_t topic, const std::vector<uint32_t>& landmarks);
-  util::Result<service::StatsSnapshot> Stats();
+  // The server's registry snapshot (a router answers with its rollup).
+  util::Result<obs::MetricsSnapshot> Stats();
   // Prometheus text exposition of the server's registry.
   util::Result<std::string> Metrics();
   util::Status Ping();

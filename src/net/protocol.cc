@@ -1,5 +1,8 @@
 #include "net/protocol.h"
 
+#include <algorithm>
+#include <concepts>
+
 #include "util/serde.h"
 
 namespace mbr::net {
@@ -693,58 +696,125 @@ util::Status DecodeMutateAck(std::span<const uint8_t> payload, MutateAck* out) {
   return r.ExpectEnd();
 }
 
-std::vector<uint8_t> EncodeStats(const service::StatsSnapshot& s) {
+namespace {
+
+using obs::MetricsSnapshot;
+
+// Counters (u64) and gauges (i64) travel as the same eight bytes.
+template <std::integral V>
+void PutValue(V v, PayloadWriter* w) {
+  w->PutU64(static_cast<uint64_t>(v));
+}
+void PutValue(const obs::Histogram::Snapshot& h, PayloadWriter* w) {
+  w->PutU32(obs::kHistogramBuckets);
+  for (uint64_t b : h.buckets) w->PutU64(b);
+  w->PutU64(h.count);
+  w->PutU64(h.sum);
+}
+
+template <std::integral V>
+util::Status ReadValue(PayloadReader* r, V* v) {
+  uint64_t bits = 0;
+  MBR_RETURN_IF_ERROR(r->ReadU64(&bits));
+  *v = static_cast<V>(bits);
+  return util::Status::Ok();
+}
+util::Status ReadValue(PayloadReader* r, obs::Histogram::Snapshot* h) {
+  uint32_t n = 0;
+  MBR_RETURN_IF_ERROR(r->ReadU32(&n));
+  if (n != obs::kHistogramBuckets) {
+    return util::Status::InvalidArgument("stats histogram bucket count " +
+                                         std::to_string(n));
+  }
+  for (uint64_t& b : h->buckets) MBR_RETURN_IF_ERROR(r->ReadU64(&b));
+  MBR_RETURN_IF_ERROR(r->ReadU64(&h->count));
+  return r->ReadU64(&h->sum);
+}
+
+template <typename V>
+void PutSeries(const std::vector<MetricsSnapshot::Series<V>>& series,
+               PayloadWriter* w) {
+  w->PutU32(static_cast<uint32_t>(series.size()));
+  for (const auto& s : series) {
+    w->PutString(s.name);
+    w->PutU32(static_cast<uint32_t>(s.labels.size()));
+    for (const auto& [key, value] : s.labels) {
+      w->PutString(key);
+      w->PutString(value);
+    }
+    PutValue(s.value, w);
+  }
+}
+
+// `n` items of at least `min_bytes` each must fit `bound` and the payload.
+util::Status CheckCount(const char* what, uint32_t n, uint32_t bound,
+                        size_t min_bytes, const PayloadReader& r) {
+  if (n > bound || n > r.remaining() / min_bytes) {
+    return util::Status::InvalidArgument(
+        std::string("stats ") + what + " count " + std::to_string(n) +
+        " exceeds its bound or the remaining payload bytes");
+  }
+  return util::Status::Ok();
+}
+
+template <typename V>
+util::Status ReadSeries(PayloadReader* r,
+                        std::vector<MetricsSnapshot::Series<V>>* out) {
+  uint32_t n = 0;
+  MBR_RETURN_IF_ERROR(r->ReadU32(&n));
+  // Each series holds a name length, a label count and >= 8 value bytes.
+  MBR_RETURN_IF_ERROR(CheckCount("series", n, kMaxStatsSeries, 16, *r));
+  out->resize(n);
+  for (auto& s : *out) {
+    MBR_RETURN_IF_ERROR(r->ReadString(&s.name, kMaxSeriesNameBytes));
+    uint32_t num_labels = 0;
+    MBR_RETURN_IF_ERROR(r->ReadU32(&num_labels));
+    // Each label holds two string lengths.
+    MBR_RETURN_IF_ERROR(
+        CheckCount("label", num_labels, kMaxSeriesLabels, 8, *r));
+    s.labels.resize(num_labels);
+    for (auto& [key, value] : s.labels) {
+      MBR_RETURN_IF_ERROR(r->ReadString(&key, kMaxSeriesNameBytes));
+      MBR_RETURN_IF_ERROR(r->ReadString(&value, kMaxSeriesNameBytes));
+    }
+    if (std::adjacent_find(s.labels.begin(), s.labels.end(),
+                           [](const auto& a, const auto& b) {
+                             return a.first >= b.first;
+                           }) != s.labels.end()) {
+      return util::Status::InvalidArgument("stats labels not sorted by key");
+    }
+    MBR_RETURN_IF_ERROR(ReadValue(r, &s.value));
+  }
+  return util::Status::Ok();
+}
+
+}  // namespace
+
+std::vector<uint8_t> EncodeStats(const MetricsSnapshot& s) {
   PayloadWriter w;
-  w.PutU64(s.queries);
-  w.PutU64(s.batches);
-  w.PutU64(s.cache_hits);
-  w.PutU64(s.cache_misses);
-  w.PutU64(s.invalidations);
-  w.PutU64(s.deadline_exceeded);
-  w.PutU64(s.params_epoch);
-  w.PutU64(s.shed_overload);
-  w.PutU64(s.shed_deadline);
-  w.PutU64(s.connections_accepted);
-  w.PutU64(s.connections_open);
-  w.PutDouble(s.p50_us);
-  w.PutDouble(s.p90_us);
-  w.PutDouble(s.p99_us);
-  w.PutU32(s.shards_total);
-  w.PutU32(s.shards_up);
-  w.PutU64(s.tier_exact);
-  w.PutU64(s.tier_approx);
-  w.PutU64(s.tier_stale);
-  w.PutU64(s.degraded);
+  PutSeries(s.counters, &w);
+  PutSeries(s.gauges, &w);
+  PutSeries(s.histograms, &w);
   return w.Take();
 }
 
 util::Status DecodeStats(std::span<const uint8_t> payload,
-                         service::StatsSnapshot* out) {
+                         MetricsSnapshot* out) {
   PayloadReader r(payload);
-  MBR_RETURN_IF_ERROR(r.ReadU64(&out->queries));
-  MBR_RETURN_IF_ERROR(r.ReadU64(&out->batches));
-  MBR_RETURN_IF_ERROR(r.ReadU64(&out->cache_hits));
-  MBR_RETURN_IF_ERROR(r.ReadU64(&out->cache_misses));
-  MBR_RETURN_IF_ERROR(r.ReadU64(&out->invalidations));
-  MBR_RETURN_IF_ERROR(r.ReadU64(&out->deadline_exceeded));
-  MBR_RETURN_IF_ERROR(r.ReadU64(&out->params_epoch));
-  MBR_RETURN_IF_ERROR(r.ReadU64(&out->shed_overload));
-  MBR_RETURN_IF_ERROR(r.ReadU64(&out->shed_deadline));
-  MBR_RETURN_IF_ERROR(r.ReadU64(&out->connections_accepted));
-  MBR_RETURN_IF_ERROR(r.ReadU64(&out->connections_open));
-  MBR_RETURN_IF_ERROR(r.ReadDouble(&out->p50_us));
-  MBR_RETURN_IF_ERROR(r.ReadDouble(&out->p90_us));
-  MBR_RETURN_IF_ERROR(r.ReadDouble(&out->p99_us));
-  MBR_RETURN_IF_ERROR(r.ReadU32(&out->shards_total));
-  MBR_RETURN_IF_ERROR(r.ReadU32(&out->shards_up));
-  MBR_RETURN_IF_ERROR(r.ReadU64(&out->tier_exact));
-  MBR_RETURN_IF_ERROR(r.ReadU64(&out->tier_approx));
-  MBR_RETURN_IF_ERROR(r.ReadU64(&out->tier_stale));
-  MBR_RETURN_IF_ERROR(r.ReadU64(&out->degraded));
+  MBR_RETURN_IF_ERROR(ReadSeries(&r, &out->counters));
+  MBR_RETURN_IF_ERROR(ReadSeries(&r, &out->gauges));
+  MBR_RETURN_IF_ERROR(ReadSeries(&r, &out->histograms));
   return r.ExpectEnd();
 }
 
-std::vector<uint8_t> EncodeMetricsResult(const std::string& text) {
+std::vector<uint8_t> EncodeMetricsResult(std::string text,
+                                         const WireLimits& limits) {
+  if (text.size() + 4 > limits.max_payload_bytes) {
+    text.resize(limits.max_payload_bytes > 4 ? limits.max_payload_bytes - 4
+                                             : 0);
+    const size_t nl = text.rfind('\n');
+    text.resize(nl == std::string::npos ? 0 : nl + 1);
+  }
   PayloadWriter w;
   w.PutString(text);
   return w.Take();

@@ -31,12 +31,13 @@
 // drops the connection — before any payload field is interpreted. Any
 // layout change bumps kProtocolVersion.
 //
-// The current layout (v5) carries: RECOMMEND / RECOMMEND_BATCH with a
+// The current layout (v6) carries: RECOMMEND / RECOMMEND_BATCH with a
 // deadline and an exclusion list; RESULT / RESULT_BATCH with the graph
 // epoch and served tier of every list plus a coordinator trailer; live
 // graph mutations (FOLLOW / UNFOLLOW / RELABEL answered by MUTATE_ACK);
 // the shard ops of the coordinator tier (RECOMMEND_PARTIAL /
-// LANDMARK_FETCH, DESIGN.md §6.7); and the METRICS exposition op.
+// LANDMARK_FETCH, DESIGN.md §6.7); the METRICS exposition op; and
+// STATS_RESULT as a registry-snapshot series list (new in v6).
 
 #include <cstdint>
 #include <cstring>
@@ -44,7 +45,7 @@
 #include <string>
 #include <vector>
 
-#include "service/serving_stats.h"
+#include "obs/metrics.h"
 #include "util/status.h"
 #include "util/top_k.h"
 
@@ -52,7 +53,7 @@ namespace mbr::net {
 
 // "MBW1" when the little-endian u32 is viewed as bytes.
 inline constexpr uint32_t kFrameMagic = 0x3157424DU;
-inline constexpr uint16_t kProtocolVersion = 5;
+inline constexpr uint16_t kProtocolVersion = 6;
 inline constexpr size_t kFrameHeaderBytes = 24;
 
 enum class MessageKind : uint16_t {
@@ -410,16 +411,26 @@ util::Status DecodeMutation(std::span<const uint8_t> payload,
 std::vector<uint8_t> EncodeMutateAck(const MutateAck& ack);
 util::Status DecodeMutateAck(std::span<const uint8_t> payload, MutateAck* out);
 
-// STATS_RESULT payload: the StatsSnapshot counters and percentiles in
-// declaration order, including the coordinator rollup (shards_total /
-// shards_up) and the per-tier serving counters.
-std::vector<uint8_t> EncodeStats(const service::StatsSnapshot& s);
+// STATS_RESULT payload: an obs::MetricsSnapshot as three series
+// sections — counters, gauges, histograms — each
+//   count:u32 { name:str label_count:u32 { key:str value:str }* value }*
+// where str is u32 length + bytes, labels are strictly sorted by key, and
+// value is u64 (counter), i64 (gauge), or bucket_count:u32 (exactly
+// obs::kHistogramBuckets) buckets:u64[] count:u64 sum:u64 (histogram).
+// The decoder checks every count and length against these constants and
+// the bytes remaining before it allocates.
+inline constexpr uint32_t kMaxStatsSeries = 4096;     // per section
+inline constexpr uint32_t kMaxSeriesLabels = 16;      // per series
+inline constexpr uint32_t kMaxSeriesNameBytes = 256;  // names, keys, values
+std::vector<uint8_t> EncodeStats(const obs::MetricsSnapshot& s);
 util::Status DecodeStats(std::span<const uint8_t> payload,
-                         service::StatsSnapshot* out);
+                         obs::MetricsSnapshot* out);
 
 // METRICS_RESULT carries the Prometheus exposition text. The text
-// is bounded by max_payload_bytes like any other payload.
-std::vector<uint8_t> EncodeMetricsResult(const std::string& text);
+// is bounded by max_payload_bytes like any other payload: the encoder
+// cuts an oversized exposition at its last whole line that fits.
+std::vector<uint8_t> EncodeMetricsResult(std::string text,
+                                         const WireLimits& limits = {});
 util::Status DecodeMetricsResult(std::span<const uint8_t> payload,
                                  const WireLimits& limits, std::string* out);
 

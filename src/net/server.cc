@@ -146,31 +146,12 @@ void Server::Wait() {
   }
 }
 
-service::StatsSnapshot Server::StatsNow() const {
-  service::StatsSnapshot s = service::MakeStatsSnapshot(engine_->Stats());
-  // A leaf server is its own one-shard "deployment"; the router overwrites
-  // these with the real rollup in its STATS path.
-  s.shards_total = 1;
-  s.shards_up = 1;
-  s.shed_overload = metrics_.shed_overload->Value();
-  s.shed_deadline = metrics_.shed_deadline->Value();
-  s.connections_accepted = metrics_.accepted->Value();
-  const uint64_t acc = s.connections_accepted;
-  const uint64_t closed = metrics_.closed->Value();
-  s.connections_open = acc >= closed ? acc - closed : 0;
+obs::MetricsSnapshot Server::StatsNow() const {
+  obs::MetricsSnapshot s = registry_->TakeSnapshot();
+  if (registry_ != &engine_->registry()) {
+    s.Merge(engine_->registry().TakeSnapshot());
+  }
   return s;
-}
-
-ServerCounters Server::counters() const {
-  ServerCounters c;
-  c.accepted = metrics_.accepted->Value();
-  c.refused = metrics_.refused->Value();
-  c.closed = metrics_.closed->Value();
-  c.requests = metrics_.requests->Value();
-  c.shed_overload = metrics_.shed_overload->Value();
-  c.shed_deadline = metrics_.shed_deadline->Value();
-  c.protocol_errors = metrics_.protocol_errors->Value();
-  return c;
 }
 
 // ---------------------------------------------------------------------------
@@ -342,16 +323,8 @@ void Server::HandleFrame(Connection* conn, const Connection::Frame& frame) {
       // Render the whole registry (engine + net series) as Prometheus
       // text. Rendered inline on the event loop — exposition is a rare,
       // operator-driven request.
-      std::string text = obs::RenderPrometheus(*registry_);
-      if (text.size() + 4 > config_.limits.max_payload_bytes) {
-        text.resize(config_.limits.max_payload_bytes > 4
-                        ? config_.limits.max_payload_bytes - 4
-                        : 0);
-        // Truncate at a line boundary so the exposition stays parseable.
-        size_t nl = text.rfind('\n');
-        text.resize(nl == std::string::npos ? 0 : nl + 1);
-      }
-      std::vector<uint8_t> payload = EncodeMetricsResult(text);
+      std::vector<uint8_t> payload = EncodeMetricsResult(
+          obs::RenderPrometheus(*registry_), config_.limits);
       if (!conn->QueueReply(MessageKind::kMetricsResult, h.request_id,
                             payload)) {
         CloseConnection(conn->fd());

@@ -49,7 +49,6 @@
 #include "obs/metrics.h"
 #include "service/mutation.h"
 #include "service/query_engine.h"
-#include "service/serving_stats.h"
 #include "util/status.h"
 
 namespace mbr::net {
@@ -91,18 +90,6 @@ struct ServerConfig {
   uint32_t shards_total = 1;
 };
 
-// Snapshot of the server's registry-backed counters (see also
-// StatsNow(), and the METRICS op for the full exposition).
-struct ServerCounters {
-  uint64_t accepted = 0;         // connections accepted
-  uint64_t refused = 0;          // connections closed at accept (cap/drain)
-  uint64_t closed = 0;           // connections fully closed
-  uint64_t requests = 0;         // work requests admitted
-  uint64_t shed_overload = 0;    // OVERLOADED replies
-  uint64_t shed_deadline = 0;    // DEADLINE_EXCEEDED replies
-  uint64_t protocol_errors = 0;  // malformed frames / bad payloads
-};
-
 class Server {
  public:
   // `engine` must outlive the server.
@@ -127,12 +114,11 @@ class Server {
 
   bool running() const { return running_.load(std::memory_order_acquire); }
 
-  // Engine stats + server shed/connection counters, merged into the shared
-  // snapshot struct — the STATS wire reply and the `mbrec serve` log line
-  // both come from here.
-  service::StatsSnapshot StatsNow() const;
-
-  ServerCounters counters() const;
+  // The snapshot of the server's registry, merged with the engine's when
+  // ServerConfig::registry points elsewhere (a shared registry counts
+  // once). The STATS wire reply and the `mbrec serve` log line both come
+  // from here.
+  obs::MetricsSnapshot StatsNow() const;
 
  private:
   using Clock = std::chrono::steady_clock;

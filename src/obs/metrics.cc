@@ -24,6 +24,23 @@ std::string SeriesKey(std::string_view name, const Labels& labels) {
   return key;
 }
 
+// Folds each series of `from` into its twin in `into`, or appends it.
+template <typename V, typename Combine>
+void MergeSeries(std::vector<MetricsSnapshot::Series<V>>* into,
+                 const std::vector<MetricsSnapshot::Series<V>>& from,
+                 Combine combine) {
+  for (const auto& s : from) {
+    auto mine = std::find_if(into->begin(), into->end(), [&s](const auto& m) {
+      return m.name == s.name && m.labels == s.labels;
+    });
+    if (mine == into->end()) {
+      into->push_back(s);
+    } else {
+      combine(&mine->value, s.value);
+    }
+  }
+}
+
 }  // namespace
 
 void SetEnabled(bool on) { g_enabled.store(on, std::memory_order_relaxed); }
@@ -43,6 +60,23 @@ double Histogram::Snapshot::PercentileLowerBound(double p) const {
     }
   }
   return static_cast<double>(uint64_t{1} << (kHistogramBuckets - 1));
+}
+
+void Histogram::Snapshot::Merge(const Snapshot& other) {
+  for (int b = 0; b < kHistogramBuckets; ++b) buckets[b] += other.buckets[b];
+  count += other.count;
+  sum += other.sum;
+}
+
+void MetricsSnapshot::Merge(const MetricsSnapshot& other) {
+  MergeSeries(&counters, other.counters,
+              [](uint64_t* a, uint64_t b) { *a += b; });
+  MergeSeries(&gauges, other.gauges,
+              [](int64_t* a, int64_t b) { *a = std::max(*a, b); });
+  MergeSeries(&histograms, other.histograms,
+              [](Histogram::Snapshot* a, const Histogram::Snapshot& b) {
+                a->Merge(b);
+              });
 }
 
 Histogram::Snapshot Histogram::TakeSnapshot() const {
@@ -140,6 +174,20 @@ Registry::SnapshotHistograms() const {
   for (const Series& s : series_) {
     if (s.kind != Kind::kHistogram) continue;
     out.emplace_back(s.meta, histograms_[s.index].TakeSnapshot());
+  }
+  return out;
+}
+
+MetricsSnapshot Registry::TakeSnapshot() const {
+  MetricsSnapshot out;
+  for (auto& [m, v] : SnapshotCounters()) {
+    out.counters.push_back({std::move(m.name), std::move(m.labels), v});
+  }
+  for (auto& [m, v] : SnapshotGauges()) {
+    out.gauges.push_back({std::move(m.name), std::move(m.labels), v});
+  }
+  for (auto& [m, v] : SnapshotHistograms()) {
+    out.histograms.push_back({std::move(m.name), std::move(m.labels), v});
   }
   return out;
 }

@@ -10,10 +10,14 @@
 // relaxed atomic add — safe from any thread, no locks, pointers stay valid
 // for the registry's lifetime (instruments live in std::deques).
 //
-// The histogram uses the same floor-log2 bucketing the QueryEngine latency
-// histogram pinned in PR 2: bucket b holds [2^b, 2^(b+1)) with bucket 0
-// absorbing 0 and sub-unit values, and the last bucket clamping the tail.
-// `service::LatencyBucket` is now an alias of `obs::Log2Bucket`.
+// Histograms use floor-log2 bucketing: bucket b holds [2^b, 2^(b+1)) with
+// bucket 0 absorbing 0 and sub-unit values, and the last bucket clamping
+// the tail.
+//
+// A MetricsSnapshot is the registry's values at one instant and the one
+// stats value type: the STATS wire reply carries it, the serving log line
+// renders it, and a coordinator's rollup is a Merge of its shards'
+// snapshots — so a series registered once reaches all three.
 
 #include <array>
 #include <atomic>
@@ -78,9 +82,11 @@ class Histogram {
     uint64_t count = 0;
     uint64_t sum = 0;
 
-    // Lower bound (2^b) of the bucket holding the p-quantile sample;
-    // 0 for an empty histogram. Same readout EngineStats pinned in PR 2.
+    // Lower bound (2^b) of the bucket holding the nearest-rank
+    // (ceil(p * total)) sample; 0 for an empty histogram.
     double PercentileLowerBound(double p) const;
+    // Adds `other`'s buckets, count and sum into this one.
+    void Merge(const Snapshot& other);
   };
 
   void Record(uint64_t v) {
@@ -93,9 +99,6 @@ class Histogram {
   uint64_t Sum() const { return sum_.load(std::memory_order_relaxed); }
   uint64_t BucketCount(int b) const {
     return buckets_[b].load(std::memory_order_relaxed);
-  }
-  double PercentileLowerBound(double p) const {
-    return TakeSnapshot().PercentileLowerBound(p);
   }
 
   Snapshot TakeSnapshot() const;
@@ -119,6 +122,47 @@ struct MetricMeta {
   Labels labels;
 };
 
+// Every series of a registry (or a merge of several) with its value,
+// keyed by name plus sorted labels. Lookups take labels sorted by key.
+struct MetricsSnapshot {
+  template <typename V>
+  struct Series {
+    std::string name;
+    Labels labels;
+    V value{};
+  };
+  std::vector<Series<uint64_t>> counters;
+  std::vector<Series<int64_t>> gauges;
+  std::vector<Series<Histogram::Snapshot>> histograms;
+
+  // Folds `other` in series by series: counters and histogram buckets
+  // sum, gauges take the max. A series only `other` has is appended.
+  void Merge(const MetricsSnapshot& other);
+
+  // The value of series (name, labels); 0 / an empty histogram if absent.
+  uint64_t CounterValue(std::string_view name,
+                        const Labels& labels = {}) const {
+    return ValueOf(counters, name, labels);
+  }
+  int64_t GaugeValue(std::string_view name, const Labels& labels = {}) const {
+    return ValueOf(gauges, name, labels);
+  }
+  Histogram::Snapshot HistogramValue(std::string_view name,
+                                     const Labels& labels = {}) const {
+    return ValueOf(histograms, name, labels);
+  }
+
+ private:
+  template <typename V>
+  static V ValueOf(const std::vector<Series<V>>& series, std::string_view name,
+                   const Labels& labels) {
+    for (const auto& s : series) {
+      if (s.name == name && s.labels == labels) return s.value;
+    }
+    return V{};
+  }
+};
+
 class Registry {
  public:
   Registry() = default;
@@ -140,6 +184,8 @@ class Registry {
   std::vector<std::pair<MetricMeta, int64_t>> SnapshotGauges() const;
   std::vector<std::pair<MetricMeta, Histogram::Snapshot>> SnapshotHistograms()
       const;
+  // Every series' value, in registration order.
+  MetricsSnapshot TakeSnapshot() const;
 
   // Process-wide registry: spans and the CLI serve path register here so a
   // single RenderPrometheus() call shows every stage of the request path.

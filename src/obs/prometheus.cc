@@ -1,5 +1,6 @@
 #include "obs/prometheus.h"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <string>
@@ -62,78 +63,66 @@ void AppendHeader(std::string* out, bool* emitted, const MetricMeta& meta,
   *out += '\n';
 }
 
+// Renders every series of one kind grouped by family: all series of a
+// family must form one contiguous block after its # HELP/# TYPE header,
+// so walk families in first-registration order, then every series of
+// each family.
+template <typename V, typename Emit>
+void RenderKind(const std::vector<std::pair<MetricMeta, V>>& series,
+                const char* type, std::string* out, Emit emit) {
+  std::vector<std::string> done;
+  for (size_t i = 0; i < series.size(); ++i) {
+    const std::string& family = series[i].first.name;
+    if (std::find(done.begin(), done.end(), family) != done.end()) continue;
+    done.push_back(family);
+    bool emitted = false;
+    for (size_t j = i; j < series.size(); ++j) {
+      if (series[j].first.name != family) continue;
+      AppendHeader(out, &emitted, series[j].first, type);
+      emit(series[j].first, series[j].second);
+    }
+  }
+}
+
 }  // namespace
 
 std::string RenderPrometheus(const Registry& registry) {
-  const auto counters = registry.SnapshotCounters();
-  const auto gauges = registry.SnapshotGauges();
-  const auto histograms = registry.SnapshotHistograms();
-
   std::string out;
   char buf[64];
-
-  // All series of a family must form one contiguous block after its
-  // # HELP/# TYPE header, so walk each kind grouped by family name
-  // (first-registration order, then every series of that family).
-  std::vector<std::string> done;
-  auto family_starts_here = [&done](const std::string& name) {
-    for (const std::string& d : done) {
-      if (d == name) return false;
-    }
-    done.push_back(name);
-    return true;
-  };
-
-  for (size_t i = 0; i < counters.size(); ++i) {
-    if (!family_starts_here(counters[i].first.name)) continue;
-    bool emitted = false;
-    for (size_t j = i; j < counters.size(); ++j) {
-      const auto& [meta, value] = counters[j];
-      if (meta.name != counters[i].first.name) continue;
-      AppendHeader(&out, &emitted, meta, "counter");
-      std::snprintf(buf, sizeof(buf), " %" PRIu64 "\n", value);
-      out += meta.name + LabelBlock(meta.labels) + buf;
-    }
-  }
-  for (size_t i = 0; i < gauges.size(); ++i) {
-    if (!family_starts_here(gauges[i].first.name)) continue;
-    bool emitted = false;
-    for (size_t j = i; j < gauges.size(); ++j) {
-      const auto& [meta, value] = gauges[j];
-      if (meta.name != gauges[i].first.name) continue;
-      AppendHeader(&out, &emitted, meta, "gauge");
-      std::snprintf(buf, sizeof(buf), " %" PRId64 "\n", value);
-      out += meta.name + LabelBlock(meta.labels) + buf;
-    }
-  }
-  for (size_t i = 0; i < histograms.size(); ++i) {
-    if (!family_starts_here(histograms[i].first.name)) continue;
-    bool emitted = false;
-    for (size_t j = i; j < histograms.size(); ++j) {
-      const auto& [meta, snap] = histograms[j];
-      if (meta.name != histograms[i].first.name) continue;
-      AppendHeader(&out, &emitted, meta, "histogram");
-      uint64_t cumulative = 0;
-      for (int b = 0; b < kHistogramBuckets; ++b) {
-        cumulative += snap.buckets[b];
-        std::string le;
-        if (b == kHistogramBuckets - 1) {
-          le = "+Inf";
-        } else {
-          // Bucket b holds [2^b, 2^(b+1)): largest integer it admits.
-          std::snprintf(buf, sizeof(buf), "%" PRIu64,
-                        (uint64_t{1} << (b + 1)) - 1);
-          le = buf;
+  RenderKind(registry.SnapshotCounters(), "counter", &out,
+             [&](const MetricMeta& meta, uint64_t value) {
+               std::snprintf(buf, sizeof(buf), " %" PRIu64 "\n", value);
+               out += meta.name + LabelBlock(meta.labels) + buf;
+             });
+  RenderKind(registry.SnapshotGauges(), "gauge", &out,
+             [&](const MetricMeta& meta, int64_t value) {
+               std::snprintf(buf, sizeof(buf), " %" PRId64 "\n", value);
+               out += meta.name + LabelBlock(meta.labels) + buf;
+             });
+  RenderKind(
+      registry.SnapshotHistograms(), "histogram", &out,
+      [&](const MetricMeta& meta, const Histogram::Snapshot& snap) {
+        uint64_t cumulative = 0;
+        for (int b = 0; b < kHistogramBuckets; ++b) {
+          cumulative += snap.buckets[b];
+          std::string le;
+          if (b == kHistogramBuckets - 1) {
+            le = "+Inf";
+          } else {
+            // Bucket b holds [2^b, 2^(b+1)): largest integer it admits.
+            std::snprintf(buf, sizeof(buf), "%" PRIu64,
+                          (uint64_t{1} << (b + 1)) - 1);
+            le = buf;
+          }
+          std::snprintf(buf, sizeof(buf), " %" PRIu64 "\n", cumulative);
+          out += meta.name + "_bucket" + LabelBlock(meta.labels, "le", le) +
+                 buf;
         }
-        std::snprintf(buf, sizeof(buf), " %" PRIu64 "\n", cumulative);
-        out += meta.name + "_bucket" + LabelBlock(meta.labels, "le", le) + buf;
-      }
-      std::snprintf(buf, sizeof(buf), " %" PRIu64 "\n", snap.sum);
-      out += meta.name + "_sum" + LabelBlock(meta.labels) + buf;
-      std::snprintf(buf, sizeof(buf), " %" PRIu64 "\n", snap.count);
-      out += meta.name + "_count" + LabelBlock(meta.labels) + buf;
-    }
-  }
+        std::snprintf(buf, sizeof(buf), " %" PRIu64 "\n", snap.sum);
+        out += meta.name + "_sum" + LabelBlock(meta.labels) + buf;
+        std::snprintf(buf, sizeof(buf), " %" PRIu64 "\n", snap.count);
+        out += meta.name + "_count" + LabelBlock(meta.labels) + buf;
+      });
   return out;
 }
 

@@ -16,21 +16,6 @@ inline uint8_t TierV(core::Tier t) { return static_cast<uint8_t>(t); }
 
 }  // namespace
 
-double EngineStats::LatencyPercentileMicros(double p) const {
-  uint64_t total = 0;
-  for (uint64_t c : latency_log2_us) total += c;
-  if (total == 0) return 0.0;
-  uint64_t need = static_cast<uint64_t>(p * static_cast<double>(total));
-  if (need < 1) need = 1;
-  uint64_t seen = 0;
-  for (int b = 0; b < kLatencyBuckets; ++b) {
-    seen += latency_log2_us[b];
-    // Bucket b spans [2^b, 2^(b+1)); report its lower bound.
-    if (seen >= need) return static_cast<double>(uint64_t{1} << b);
-  }
-  return static_cast<double>(uint64_t{1} << (kLatencyBuckets - 1));
-}
-
 QueryEngine::QueryEngine(const graph::LabeledGraph& g,
                          const core::AuthorityIndex& authority,
                          const topics::SimilarityMatrix& sim,
@@ -81,6 +66,9 @@ QueryEngine::QueryEngine(const graph::LabeledGraph& g,
   metrics_.degraded = registry_->GetCounter(
       "mbr_engine_degraded_total",
       "Replies served below the engine's best tier.");
+  metrics_.params_epoch = registry_->GetGauge(
+      "mbr_engine_params_epoch",
+      "Result-cache generation; bumped by every invalidation.");
   metrics_.latency_us = registry_->GetHistogram(
       "mbr_engine_latency_us",
       "Per-query engine latency in microseconds (hits and misses).");
@@ -442,6 +430,7 @@ uint32_t QueryEngine::num_topics() const {
 void QueryEngine::Invalidate() {
   const uint64_t new_epoch = epoch_.fetch_add(1, std::memory_order_acq_rel) + 1;
   metrics_.invalidations->Increment();
+  metrics_.params_epoch->Set(static_cast<int64_t>(new_epoch));
   if (cache_ != nullptr) {
     // Entries keyed to epochs below `new_epoch` can never be hit by a
     // fresh lookup again (those always use the current epoch). Without
@@ -497,22 +486,6 @@ void QueryEngine::RunExclusive(const std::function<void()>& fn) {
 
 void QueryEngine::SetStaleProbe(std::function<bool()> probe) {
   stale_probe_ = std::move(probe);
-}
-
-EngineStats QueryEngine::Stats() const {
-  EngineStats s;
-  s.queries = metrics_.queries->Value();
-  s.batches = metrics_.batches->Value();
-  s.cache_hits = metrics_.cache_hits->Value();
-  s.cache_misses = metrics_.cache_misses->Value();
-  s.invalidations = metrics_.invalidations->Value();
-  s.deadline_exceeded = metrics_.deadline_exceeded->Value();
-  s.params_epoch = epoch_.load(std::memory_order_relaxed);
-  for (int t = 0; t < 3; ++t) s.tier_served[t] = metrics_.tier_served[t]->Value();
-  s.degraded = metrics_.degraded->Value();
-  obs::Histogram::Snapshot snap = metrics_.latency_us->TakeSnapshot();
-  s.latency_log2_us = snap.buckets;
-  return s;
 }
 
 }  // namespace mbr::service

@@ -20,9 +20,8 @@
 //     an exclusion list bypass the cache entirely (the key space is
 //     (user, topic, top_n) only);
 //   * serving counters and the per-query log2 latency histogram live in an
-//     obs::Registry (EngineConfig::registry, or a private one), so the
-//     STATS projection, the log line, and Prometheus exposition all read
-//     the same source of truth.
+//     obs::Registry (EngineConfig::registry, or a private one); STATS, the
+//     log line and Prometheus exposition all render its snapshot.
 //
 // Requests are core::Query objects: deadline expiry is answered with
 // kDeadlineExceeded (checked at admission and again on the worker before
@@ -52,7 +51,6 @@
 // layer sheds. Every reply says which tier served it (ServeMeta);
 // `core::Query::min_tier` caps how far an individual query may degrade.
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -120,45 +118,6 @@ struct EngineConfig {
   // serve` passes &obs::Registry::Default() so one exposition covers the
   // whole process. Must outlive the engine.
   obs::Registry* registry = nullptr;
-};
-
-// The engine's latency histogram uses the obs floor-log2 bucketing (the
-// PR-2 convention: bucket b counts [2^b, 2^(b+1)) µs, bucket 0 also holds
-// sub-microsecond samples, 1 µs lands in bucket 0 and exactly 2^k µs in
-// bucket k).
-inline constexpr int kLatencyBuckets = obs::kHistogramBuckets;
-
-inline int LatencyBucket(uint64_t us) { return obs::Log2Bucket(us); }
-
-// Snapshot of the engine's serving counters (a projection of the registry
-// series; see StatsSnapshot for the wire/log-line projection on top).
-struct EngineStats {
-  uint64_t queries = 0;   // total queries admitted
-  uint64_t batches = 0;   // RecommendMany calls
-  uint64_t cache_hits = 0;
-  uint64_t cache_misses = 0;  // queries that ran a scorer
-  uint64_t invalidations = 0;
-  uint64_t deadline_exceeded = 0;  // queries answered kDeadlineExceeded
-  uint64_t params_epoch = 0;
-  // Per-tier serving counters (mbr_engine_tier_served_total{tier=…}),
-  // indexed by core::Tier's numeric value, plus the count of queries
-  // served below the engine's best tier (mbr_engine_degraded_total).
-  std::array<uint64_t, 3> tier_served{};
-  uint64_t degraded = 0;
-  // latency_log2_us[b] counts queries with latency in [2^b, 2^(b+1)) µs
-  // (bucket 0 also holds sub-microsecond samples); see LatencyBucket().
-  // Cache hits and scored queries both land here (hits in the lowest
-  // buckets).
-  std::array<uint64_t, kLatencyBuckets> latency_log2_us{};
-
-  double HitRate() const {
-    uint64_t total = cache_hits + cache_misses;
-    return total == 0 ? 0.0 : static_cast<double>(cache_hits) / total;
-  }
-  // Lower bound 2^b (µs) of the bucket containing the p-th percentile
-  // sample — a floor estimate, exact for power-of-two latencies (a stream
-  // of 1 µs queries reports p99 = 1, not 2). p in [0, 1].
-  double LatencyPercentileMicros(double p) const;
 };
 
 class QueryEngine {
@@ -262,10 +221,11 @@ class QueryEngine {
   const PressureMonitor& pressure() const { return monitor_; }
 
   // The registry holding the engine's series (the configured one, or the
-  // engine-owned private registry).
+  // engine-owned private registry): the mbr_engine_* counters, the
+  // mbr_engine_params_epoch gauge and the mbr_engine_latency_us
+  // histogram (log2 µs buckets, cache hits and scored queries alike).
+  // Read them through registry().TakeSnapshot().
   obs::Registry& registry() { return *registry_; }
-
-  EngineStats Stats() const;
 
  private:
   struct CacheKey {
@@ -312,6 +272,7 @@ class QueryEngine {
     obs::Counter* deadline_exceeded = nullptr;
     obs::Counter* tier_served[3] = {nullptr, nullptr, nullptr};
     obs::Counter* degraded = nullptr;
+    obs::Gauge* params_epoch = nullptr;
     obs::Histogram* latency_us = nullptr;
   };
 

@@ -34,6 +34,7 @@
 #include "landmark/selection.h"
 #include "net/client.h"
 #include "net/server.h"
+#include "obs/metrics.h"
 #include "service/query_engine.h"
 #include "topics/similarity_matrix.h"
 #include "util/rng.h"
@@ -333,9 +334,41 @@ TEST(CoordDifferentialTest, RoutedStatsRollupCountsAllShards) {
   // The STATS rollup answered over the wire sums the shard snapshots.
   auto stats = client->Stats();
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_EQ(stats->shards_total, 2u);
-  EXPECT_EQ(stats->shards_up, 2u);
-  EXPECT_GE(stats->queries, 4u);
+  EXPECT_EQ(stats->GaugeValue("mbr_coord_shards_total"), 2);
+  EXPECT_EQ(stats->GaugeValue("mbr_coord_shards_up"), 2);
+  EXPECT_GE(stats->CounterValue("mbr_engine_queries_total"), 4u);
+  // The router's own series ride along: every probe was routed.
+  EXPECT_GE(stats->CounterValue("mbr_coord_requests_total"), 4u);
+}
+
+// "One place per counter": a series registered on each shard's registry —
+// and nowhere else — reaches the routed STATS reply summed across shards,
+// and its histogram merges bucket by bucket into fleet percentiles.
+TEST(CoordDifferentialTest, ShardRegisteredCounterReachesRoutedStats) {
+  auto stack = MakeStack(/*shards=*/2, PartitionStrategy::kHash,
+                         /*landmark_mode=*/true, /*halo_depth=*/1);
+  ASSERT_NE(stack, nullptr);
+  for (uint32_t s = 0; s < 2; ++s) {
+    obs::Registry& r = stack->contexts[s]->engine->registry();
+    r.GetCounter("mbr_test_shard_probe_total", "Test-only series.")
+        ->Increment(10 + s);
+    obs::Histogram* h = r.GetHistogram("mbr_test_shard_latency_us", "");
+    if (s == 0) {
+      for (int i = 0; i < 99; ++i) h->Record(1);
+    } else {
+      h->Record(600);
+    }
+  }
+  auto client = Dial(*stack);
+  ASSERT_TRUE(client.ok());
+  auto stats = client->Stats();
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(stats->CounterValue("mbr_test_shard_probe_total"), 21u);
+  const obs::Histogram::Snapshot fleet =
+      stats->HistogramValue("mbr_test_shard_latency_us");
+  EXPECT_EQ(fleet.count, 100u);
+  EXPECT_EQ(fleet.PercentileLowerBound(0.50), 1.0);
+  EXPECT_EQ(fleet.PercentileLowerBound(1.0), 512.0);
 }
 
 TEST(CoordRouterProtocolTest, WrongVersionFrameGetsUnsupportedVersion) {
@@ -468,9 +501,12 @@ TEST(CoordTierMergeTest, RoutedTierIsMaxOverContributingShards) {
   // The rollup sums the shards' per-tier counters: both tiers appear.
   auto stats = client->Stats();
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_GE(stats->tier_exact, 3u);
-  EXPECT_GE(stats->tier_approx, 2u);
-  EXPECT_GE(stats->degraded, 2u);
+  auto tier = [&stats](const char* t) {
+    return stats->CounterValue("mbr_engine_tier_served_total", {{"tier", t}});
+  };
+  EXPECT_GE(tier("exact"), 3u);
+  EXPECT_GE(tier("approx"), 2u);
+  EXPECT_GE(stats->CounterValue("mbr_engine_degraded_total"), 2u);
 }
 
 TEST(CoordTierMergeTest, LandmarkRoutedTierIsAtLeastApprox) {

@@ -3,7 +3,9 @@
 // and every single-bit flip of a valid RECOMMEND frame must produce either
 // a well-formed error/reply frame or a clean connection close — never a
 // crash, a hang, or (under ASan) an out-of-bounds read. After the sweep
-// the server must still answer a PING.
+// the server must still answer a PING. The STATS exchange is swept from
+// both ends: the request on the wire and the real reply's series payload
+// through the client-side decoder.
 
 #include <gtest/gtest.h>
 
@@ -161,6 +163,14 @@ class NetCorruptionTest : public ::testing::Test {
                      std::to_string(bit));
         std::vector<uint8_t> mutated = frame;
         mutated[byte] ^= static_cast<uint8_t>(1u << bit);
+        // A flip that turns the kind into SHUTDOWN (STATS 4 -> 5) is a
+        // well-formed request to drain, not corruption: skip it rather
+        // than stop the server under the sweep.
+        FrameHeader h;
+        if (ParseFrameHeader(mutated, WireLimits{}, &h) == HeaderParse::kOk &&
+            h.kind == MessageKind::kShutdown) {
+          continue;
+        }
         std::vector<uint8_t> reply;
         if (!SendAndDrain(mutated, &reply)) return;
         ExpectWellFormedReplies(reply);
@@ -258,6 +268,50 @@ TEST_F(NetCorruptionTest, MetricsFrameSurvivesCorruption) {
   AppendFrame(MessageKind::kMetrics, 80, {}, &frame);
   SweepTruncations(frame);
   SweepBitFlips(frame);
+  ExpectServerStillAlive();
+}
+
+TEST_F(NetCorruptionTest, StatsExchangeSurvivesCorruption) {
+  // Request side: the STATS frame, truncated and bit-flipped on the wire.
+  std::vector<uint8_t> request;
+  AppendFrame(MessageKind::kStats, 81, {}, &request);
+  SweepTruncations(request);
+  SweepBitFlips(request);
+
+  // Reply side: a real STATS_RESULT from this server. Every truncation of
+  // its payload and every bit flip (decoded past the CRC, so the series
+  // decoder itself meets the hostile bytes) must fail cleanly or decode
+  // to a bounded snapshot.
+  std::vector<uint8_t> reply;
+  ASSERT_TRUE(SendAndDrain(request, &reply));
+  FrameHeader h;
+  ASSERT_EQ(ParseFrameHeader(reply, WireLimits{}, &h), HeaderParse::kOk);
+  ASSERT_EQ(h.kind, MessageKind::kStatsResult);
+  ASSERT_EQ(reply.size(), kFrameHeaderBytes + h.payload_len);
+  const std::vector<uint8_t> payload(reply.begin() + kFrameHeaderBytes,
+                                     reply.end());
+  obs::MetricsSnapshot snap;
+  ASSERT_TRUE(DecodeStats(payload, &snap).ok());
+  ASSERT_FALSE(snap.histograms.empty());
+  for (size_t keep = 0; keep < payload.size(); ++keep) {
+    EXPECT_FALSE(DecodeStats({payload.data(), keep}, &snap).ok())
+        << "payload truncated to " << keep << " bytes";
+  }
+  for (size_t byte = 0; byte < payload.size(); ++byte) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::vector<uint8_t> flipped = payload;
+      flipped[byte] ^= static_cast<uint8_t>(1u << bit);
+      EXPECT_FALSE(VerifyPayloadCrc(h, flipped).ok());
+      obs::MetricsSnapshot back;
+      if (DecodeStats(flipped, &back).ok()) {
+        // Each series costs at least 16 payload bytes.
+        EXPECT_LE(back.counters.size() + back.gauges.size() +
+                      back.histograms.size(),
+                  flipped.size() / 16)
+            << "flip byte " << byte << " bit " << bit;
+      }
+    }
+  }
   ExpectServerStillAlive();
 }
 

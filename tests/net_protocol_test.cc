@@ -258,23 +258,35 @@ TEST(NetProtocolTest, MutateAckRoundTrip) {
   }
 }
 
+// A small snapshot with every series kind, labels and a negative gauge.
+obs::MetricsSnapshot SampleSnapshot() {
+  obs::MetricsSnapshot s;
+  s.counters = {{"mbr_engine_queries_total", {}, 100},
+                {"mbr_net_shed_overload_total", {}, 3},
+                {"mbr_engine_tier_served_total", {{"tier", "approx"}}, 6}};
+  s.gauges = {{"mbr_engine_params_epoch", {}, 9}, {"t_delta", {}, -5}};
+  s.histograms.push_back({"mbr_net_request_latency_us", {{"op", "recommend"}},
+                          {}});
+  s.histograms[0].value.buckets[0] = 1;
+  s.histograms[0].value.buckets[10] = 2;
+  s.histograms[0].value.count = 3;
+  s.histograms[0].value.sum = 2049;
+  return s;
+}
+
 TEST(NetProtocolTest, StatsRoundTrip) {
-  service::StatsSnapshot s;
-  s.queries = 100;
-  s.cache_hits = 40;
-  s.cache_misses = 60;
-  s.shed_overload = 3;
-  s.connections_accepted = 17;
-  s.deadline_exceeded = 5;
-  s.p99_us = 1024.0;
-  service::StatsSnapshot back;
+  const obs::MetricsSnapshot s = SampleSnapshot();
+  obs::MetricsSnapshot back;
   ASSERT_TRUE(DecodeStats(EncodeStats(s), &back).ok());
-  EXPECT_EQ(back.queries, 100u);
-  EXPECT_EQ(back.shed_overload, 3u);
-  EXPECT_EQ(back.connections_accepted, 17u);
-  EXPECT_DOUBLE_EQ(back.p99_us, 1024.0);
-  EXPECT_DOUBLE_EQ(back.HitRate(), 0.4);
-  EXPECT_EQ(back.deadline_exceeded, 5u);
+  EXPECT_EQ(back.CounterValue("mbr_engine_queries_total"), 100u);
+  EXPECT_EQ(back.CounterValue("mbr_net_shed_overload_total"), 3u);
+  EXPECT_EQ(back.GaugeValue("mbr_engine_params_epoch"), 9);
+  EXPECT_EQ(back.GaugeValue("t_delta"), -5);
+  const obs::Histogram::Snapshot h =
+      back.HistogramValue("mbr_net_request_latency_us", {{"op", "recommend"}});
+  EXPECT_EQ(h.buckets, s.histograms[0].value.buckets);
+  EXPECT_EQ(h.count, 3u);
+  EXPECT_EQ(h.sum, 2049u);
 
   // Every strict prefix and any trailing byte fail cleanly.
   std::vector<uint8_t> payload = EncodeStats(s);
@@ -284,6 +296,71 @@ TEST(NetProtocolTest, StatsRoundTrip) {
   }
   payload.push_back(0);
   EXPECT_FALSE(DecodeStats(payload, &back).ok());
+}
+
+// The series decoder bounds every count and length against its constant
+// and the bytes remaining, and pins the histogram bucket count.
+TEST(NetProtocolTest, StatsDecoderBoundsCountsAndLengths) {
+  obs::MetricsSnapshot back;
+  auto decode = [&back](const std::vector<uint8_t>& p) {
+    return DecodeStats(p, &back);
+  };
+  PayloadWriter huge_count;
+  huge_count.PutU32(0xFFFFFFFFu);  // counters: 4G series in 4 bytes
+  EXPECT_FALSE(decode(huge_count.Take()).ok());
+
+  PayloadWriter over_bound;  // within the bytes present, over the constant
+  over_bound.PutU32(kMaxStatsSeries + 1);
+  for (uint32_t i = 0; i <= kMaxStatsSeries; ++i) {
+    over_bound.PutString("");
+    over_bound.PutU32(0);
+    over_bound.PutU64(0);
+  }
+  over_bound.PutU32(0);
+  over_bound.PutU32(0);
+  EXPECT_FALSE(decode(over_bound.Take()).ok());
+
+  PayloadWriter long_name;
+  long_name.PutU32(1);
+  long_name.PutString(std::string(kMaxSeriesNameBytes + 1, 'x'));
+  long_name.PutU32(0);
+  long_name.PutU64(1);
+  long_name.PutU32(0);
+  long_name.PutU32(0);
+  EXPECT_FALSE(decode(long_name.Take()).ok());
+
+  PayloadWriter many_labels;
+  many_labels.PutU32(1);
+  many_labels.PutString("t");
+  many_labels.PutU32(kMaxSeriesLabels + 1);
+  for (uint32_t i = 0; i <= kMaxSeriesLabels; ++i) {
+    many_labels.PutString(std::string(1, static_cast<char>('a' + i)));
+    many_labels.PutString("v");
+  }
+  many_labels.PutU64(1);
+  many_labels.PutU32(0);
+  many_labels.PutU32(0);
+  EXPECT_FALSE(decode(many_labels.Take()).ok());
+
+  obs::MetricsSnapshot unsorted;
+  unsorted.counters = {{"t", {{"b", "1"}, {"a", "2"}}, 1}};
+  EXPECT_FALSE(decode(EncodeStats(unsorted)).ok());
+
+  for (uint32_t buckets : {0u, uint32_t{obs::kHistogramBuckets} - 1,
+                           uint32_t{obs::kHistogramBuckets} + 1}) {
+    PayloadWriter w;
+    w.PutU32(0);
+    w.PutU32(0);
+    w.PutU32(1);
+    w.PutString("t_lat");
+    w.PutU32(0);
+    w.PutU32(buckets);
+    for (uint32_t b = 0; b < buckets; ++b) w.PutU64(0);
+    w.PutU64(0);
+    w.PutU64(0);
+    EXPECT_FALSE(decode(w.Take()).ok()) << buckets << " buckets";
+  }
+  EXPECT_TRUE(decode(EncodeStats(obs::MetricsSnapshot{})).ok());
 }
 
 TEST(NetProtocolTest, ErrorRoundTripAndStatusMapping) {
@@ -498,18 +575,26 @@ TEST(NetProtocolTest, V5BatchCarriesPerListTiers) {
 }
 
 TEST(NetProtocolTest, V5StatsCarriesTierCounters) {
-  service::StatsSnapshot s;
-  s.queries = 10;
-  s.tier_exact = 6;
-  s.tier_approx = 3;
-  s.tier_stale = 1;
-  s.degraded = 4;
-  service::StatsSnapshot back;
-  ASSERT_TRUE(DecodeStats(EncodeStats(s), &back).ok());
-  EXPECT_EQ(back.tier_exact, 6u);
-  EXPECT_EQ(back.tier_approx, 3u);
-  EXPECT_EQ(back.tier_stale, 1u);
-  EXPECT_EQ(back.degraded, 4u);
+  obs::Registry r;
+  for (const char* tier : {"exact", "approx", "stale"}) {
+    r.GetCounter("mbr_engine_tier_served_total", "", {{"tier", tier}});
+  }
+  r.GetCounter("mbr_engine_tier_served_total", "", {{"tier", "exact"}})
+      ->Increment(6);
+  r.GetCounter("mbr_engine_tier_served_total", "", {{"tier", "approx"}})
+      ->Increment(3);
+  r.GetCounter("mbr_engine_tier_served_total", "", {{"tier", "stale"}})
+      ->Increment(1);
+  r.GetCounter("mbr_engine_degraded_total", "")->Increment(4);
+  obs::MetricsSnapshot back;
+  ASSERT_TRUE(DecodeStats(EncodeStats(r.TakeSnapshot()), &back).ok());
+  auto tier = [&back](const char* t) {
+    return back.CounterValue("mbr_engine_tier_served_total", {{"tier", t}});
+  };
+  EXPECT_EQ(tier("exact"), 6u);
+  EXPECT_EQ(tier("approx"), 3u);
+  EXPECT_EQ(tier("stale"), 1u);
+  EXPECT_EQ(back.CounterValue("mbr_engine_degraded_total"), 4u);
 }
 
 // Hostile-bytes sweep over the RESULT codecs: every single-byte
@@ -562,11 +647,13 @@ TEST(NetProtocolTest, V5ResultSurvivesTruncationAndBitFlips) {
 
 // ---- Golden frames. ----
 //
-// One byte-exact frame per kind, recorded from the v5 encoder as it stood
-// when it still took a version parameter. Re-encoding the same values must
-// reproduce every byte, and decoding the recorded bytes must give the
-// values back (doubles compared by bit pattern), so a layout cannot drift
-// silently: changing one means changing these bytes and kProtocolVersion.
+// One byte-exact frame per kind. The payloads were recorded from the v5
+// encoder; v6 changed only the STATS_RESULT payload (re-recorded) and the
+// version bytes (header bytes 4-5) of every frame. Re-encoding the same
+// values must reproduce every byte, and decoding the recorded bytes must
+// give the values back (doubles compared by bit pattern), so a layout
+// cannot drift silently: changing one means changing these bytes and
+// kProtocolVersion.
 
 std::vector<uint8_t> FromHex(const std::string& hex) {
   std::vector<uint8_t> out;
@@ -619,7 +706,7 @@ const RankedList kGoldenList = {{5, 0.75}, {8, 1.0 / 3.0}};
 TEST(NetProtocolGoldenTest, Ping) {
   std::vector<uint8_t> body = ExpectGolden(
       MessageKind::kPing, 1, {},
-      "4d4257310500010001000000000000000000000000000000");
+      "4d4257310600010001000000000000000000000000000000");
   EXPECT_TRUE(body.empty());
 }
 
@@ -627,7 +714,7 @@ TEST(NetProtocolGoldenTest, Recommend) {
   const RecommendRequest q = GoldenQuery();
   std::vector<uint8_t> body = ExpectGolden(
       MessageKind::kRecommend, 2, EncodeRecommend(q),
-      "4d4257310500020002000000000000001c0000001c54dd070700000003000000"
+      "4d4257310600020002000000000000001c0000001c54dd070700000003000000"
       "0a000000fa000000020000000b0000000c000000");
   RecommendRequest back;
   ASSERT_TRUE(DecodeRecommend(body, WireLimits{}, &back).ok());
@@ -645,7 +732,7 @@ TEST(NetProtocolGoldenTest, RecommendBatch) {
   b.top_n = 4;
   std::vector<uint8_t> body = ExpectGolden(
       MessageKind::kRecommendBatch, 3, EncodeRecommendBatch({GoldenQuery(), b}),
-      "4d42573105000300030000000000000034000000ffad93da0200000007000000"
+      "4d42573106000300030000000000000034000000ffad93da0200000007000000"
       "030000000a000000fa000000020000000b0000000c0000000900000001000000"
       "040000000000000000000000");
   std::vector<RecommendRequest> back;
@@ -660,7 +747,7 @@ TEST(NetProtocolGoldenTest, RecommendBatch) {
 TEST(NetProtocolGoldenTest, Result) {
   std::vector<uint8_t> body = ExpectGolden(
       MessageKind::kResult, 4, EncodeResult(kGoldenList, 42, {}, 1),
-      "4d4257310500410004000000000000002a0000002ef9f8da2a00000000000000"
+      "4d4257310600410004000000000000002a0000002ef9f8da2a00000000000000"
       "010200000005000000000000000000e83f08000000555555555555d53f000100"
       "0100");
   RankedList back;
@@ -688,7 +775,7 @@ TEST(NetProtocolGoldenTest, ResultBatchWithTrailerAndTiers) {
   std::vector<uint8_t> body = ExpectGolden(
       MessageKind::kResultBatch, 5,
       EncodeResultBatch(lists, epochs, partial, tiers),
-      "4d42573105004200050000000000000054000000d8a1cddf030000002a000000"
+      "4d42573106004200050000000000000054000000d8a1cddf030000002a000000"
       "00000000000200000005000000000000000000e83f08000000555555555555d5"
       "3f2b0000000000000002000000002c0000000000000001010000000200000000"
       "000000000000800101000200");
@@ -709,53 +796,45 @@ TEST(NetProtocolGoldenTest, ResultBatchWithTrailerAndTiers) {
 }
 
 TEST(NetProtocolGoldenTest, StatsResult) {
-  service::StatsSnapshot s;
-  s.queries = 1;
-  s.batches = 2;
-  s.cache_hits = 3;
-  s.cache_misses = 4;
-  s.invalidations = 5;
-  s.deadline_exceeded = 6;
-  s.params_epoch = 7;
-  s.shed_overload = 8;
-  s.shed_deadline = 9;
-  s.connections_accepted = 10;
-  s.connections_open = 11;
-  s.p50_us = 12.5;
-  s.p90_us = 13.25;
-  s.p99_us = 14.125;
-  s.shards_total = 15;
-  s.shards_up = 16;
-  s.tier_exact = 17;
-  s.tier_approx = 18;
-  s.tier_stale = 19;
-  s.degraded = 20;
+  obs::MetricsSnapshot s;
+  s.counters = {{"q_total", {}, 1}, {"t_total", {{"tier", "approx"}}, 2}};
+  s.gauges = {{"epoch", {}, -3}};
+  s.histograms.push_back({"lat_us", {}, {}});
+  s.histograms[0].value.buckets[1] = 1;
+  s.histograms[0].value.buckets[2] = 2;
+  s.histograms[0].value.count = 3;
+  s.histograms[0].value.sum = 10;
   std::vector<uint8_t> body = ExpectGolden(
       MessageKind::kStatsResult, 6, EncodeStats(s),
-      "4d4257310500430006000000000000009800000003ef824c0100000000000000"
-      "0200000000000000030000000000000004000000000000000500000000000000"
-      "0600000000000000070000000000000008000000000000000900000000000000"
-      "0a000000000000000b0000000000000000000000000029400000000000802a40"
-      "0000000000402c400f0000001000000011000000000000001200000000000000"
-      "13000000000000001400000000000000");
-  service::StatsSnapshot back;
+      "4d42573106004300060000000000000083010000932e588d0200000007000000"
+      "715f746f74616c00000000010000000000000007000000745f746f74616c0100"
+      "0000040000007469657206000000617070726f78020000000000000001000000"
+      "0500000065706f636800000000fdffffffffffffff01000000060000006c6174"
+      "5f75730000000020000000000000000000000001000000000000000200000000"
+      "0000000000000000000000000000000000000000000000000000000000000000"
+      "0000000000000000000000000000000000000000000000000000000000000000"
+      "0000000000000000000000000000000000000000000000000000000000000000"
+      "0000000000000000000000000000000000000000000000000000000000000000"
+      "0000000000000000000000000000000000000000000000000000000000000000"
+      "0000000000000000000000000000000000000000000000000000000000000000"
+      "0000000000000000000000000000000000000000000000000000000000000000"
+      "000000000000000000000003000000000000000a00000000000000");
+  obs::MetricsSnapshot back;
   ASSERT_TRUE(DecodeStats(body, &back).ok());
-  EXPECT_EQ(back.queries, 1u);
-  EXPECT_EQ(back.deadline_exceeded, 6u);
-  EXPECT_EQ(back.connections_open, 11u);
-  EXPECT_EQ(Bits(back.p50_us), Bits(12.5));
-  EXPECT_EQ(Bits(back.p99_us), Bits(14.125));
-  EXPECT_EQ(back.shards_total, 15u);
-  EXPECT_EQ(back.shards_up, 16u);
-  EXPECT_EQ(back.tier_exact, 17u);
-  EXPECT_EQ(back.degraded, 20u);
+  EXPECT_EQ(back.CounterValue("q_total"), 1u);
+  EXPECT_EQ(back.CounterValue("t_total", {{"tier", "approx"}}), 2u);
+  EXPECT_EQ(back.GaugeValue("epoch"), -3);
+  const obs::Histogram::Snapshot h = back.HistogramValue("lat_us");
+  EXPECT_EQ(h.buckets, s.histograms[0].value.buckets);
+  EXPECT_EQ(h.count, 3u);
+  EXPECT_EQ(h.sum, 10u);
 }
 
 TEST(NetProtocolGoldenTest, FollowMutation) {
   const std::vector<MutationRecord> recs = {{1, 2, 0x5}, {3, 4, 0x80}};
   std::vector<uint8_t> body = ExpectGolden(
       MessageKind::kFollow, 7, EncodeMutation(MessageKind::kFollow, recs),
-      "4d42573105000700070000000000000024000000011341f80200000001000000"
+      "4d42573106000700070000000000000024000000011341f80200000001000000"
       "02000000050000000000000003000000040000008000000000000000");
   std::vector<MutationRecord> back;
   ASSERT_TRUE(
@@ -769,7 +848,7 @@ TEST(NetProtocolGoldenTest, FollowMutation) {
 TEST(NetProtocolGoldenTest, MutateAck) {
   std::vector<uint8_t> body = ExpectGolden(
       MessageKind::kMutateAck, 8, EncodeMutateAck({2, 1, 99}),
-      "4d425731050048000800000000000000100000000185daae0200000001000000"
+      "4d425731060048000800000000000000100000000185daae0200000001000000"
       "6300000000000000");
   MutateAck back;
   ASSERT_TRUE(DecodeMutateAck(body, &back).ok());
@@ -786,7 +865,7 @@ TEST(NetProtocolGoldenTest, RecommendPartial) {
   q.deadline_ms = 2000;
   std::vector<uint8_t> body = ExpectGolden(
       MessageKind::kRecommendPartial, 9, EncodeRecommend(q),
-      "4d42573105000a00090000000000000014000000356a819d0400000002000000"
+      "4d42573106000a00090000000000000014000000356a819d0400000002000000"
       "05000000d007000000000000");
   RecommendRequest back;
   ASSERT_TRUE(DecodeRecommend(body, WireLimits{}, &back).ok());
@@ -805,7 +884,7 @@ TEST(NetProtocolGoldenTest, LandmarkVectors) {
   vec.lists = {l1, l2};
   std::vector<uint8_t> body = ExpectGolden(
       MessageKind::kLandmarkVectors, 10, EncodeLandmarkVectors(vec),
-      "4d42573105004a000a000000000000004400000038cf54eb4d00000000000000"
+      "4d42573106004a000a000000000000004400000038cf54eb4d00000000000000"
       "020000001e000000020000001f000000000000000000e03f000000000000d03f"
       "20000000000000000000c03f000000000000f83f2800000000000000");
   LandmarkVectorsReply back;

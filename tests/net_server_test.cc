@@ -13,6 +13,7 @@
 
 #include <cstring>
 #include <memory>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -22,7 +23,9 @@
 #include "landmark/selection.h"
 #include "net/client.h"
 #include "net/server.h"
+#include "obs/metrics.h"
 #include "service/query_engine.h"
+#include "service/serving_stats.h"
 #include "topics/similarity_matrix.h"
 #include "wire_test_util.h"
 
@@ -59,6 +62,11 @@ class NetServerTest : public ::testing::Test {
     server_ = std::make_unique<Server>(*engine_, cfg);
     ASSERT_TRUE(server_->Start().ok());
     ASSERT_NE(server_->port(), 0);
+  }
+
+  // One series of the server's STATS snapshot.
+  uint64_t Counted(std::string_view name) const {
+    return server_->StatsNow().CounterValue(name);
   }
 
   util::Result<Client> Dial() {
@@ -152,12 +160,68 @@ TEST_F(NetServerTest, StatsReflectServedQueries) {
   ASSERT_TRUE(client->Recommend(1, 0, 5).ok());  // cache hit
   auto stats = client->Stats();
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_EQ(stats->queries, 2u);
-  EXPECT_EQ(stats->cache_hits, 1u);
-  EXPECT_EQ(stats->cache_misses, 1u);
-  EXPECT_EQ(stats->connections_accepted, 1u);
-  EXPECT_EQ(stats->connections_open, 1u);
-  EXPECT_EQ(stats->shed_overload, 0u);
+  EXPECT_EQ(stats->CounterValue("mbr_engine_queries_total"), 2u);
+  EXPECT_EQ(stats->CounterValue("mbr_engine_cache_hits_total"), 1u);
+  EXPECT_EQ(stats->CounterValue("mbr_engine_cache_misses_total"), 1u);
+  EXPECT_EQ(stats->CounterValue("mbr_net_connections_accepted_total"), 1u);
+  EXPECT_EQ(stats->CounterValue("mbr_net_connections_closed_total"), 0u);
+  EXPECT_EQ(stats->CounterValue("mbr_net_shed_overload_total"), 0u);
+  EXPECT_NE(service::FormatStatsLine(*stats).find("queries=2 hit=50.0%"),
+            std::string::npos);
+}
+
+// The STATS percentiles are the registry's nearest-rank readout of
+// mbr_engine_latency_us: 1, 2 and 4 µs read p50/p90/p99 = 2/4/4 (a floor
+// rank would under-report them as 1/2/2).
+TEST_F(NetServerTest, StatsPercentilesMatchTheRegistryReadout) {
+  StartServer({});
+  obs::Histogram* latency =
+      engine_->registry().GetHistogram("mbr_engine_latency_us", "");
+  for (uint64_t us : {1u, 2u, 4u}) latency->Record(us);
+  auto client = Dial();
+  ASSERT_TRUE(client.ok());
+  auto stats = client->Stats();
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  const obs::Histogram::Snapshot wire =
+      stats->HistogramValue("mbr_engine_latency_us");
+  EXPECT_EQ(wire.PercentileLowerBound(0.50), 2.0);
+  EXPECT_EQ(wire.PercentileLowerBound(0.90), 4.0);
+  EXPECT_EQ(wire.PercentileLowerBound(0.99), 4.0);
+  const obs::Histogram::Snapshot local = latency->TakeSnapshot();
+  for (double p : {0.50, 0.90, 0.99}) {
+    EXPECT_EQ(wire.PercentileLowerBound(p), local.PercentileLowerBound(p));
+  }
+  EXPECT_NE(service::FormatStatsLine(*stats).find("p50=2us p90=4us p99=4us"),
+            std::string::npos)
+      << service::FormatStatsLine(*stats);
+}
+
+// A server registering elsewhere than its engine still reports the
+// engine's series in STATS; a shared registry is counted once.
+TEST_F(NetServerTest, StatsIncludesTheEngineRegistryOnce) {
+  obs::Registry net_only;
+  ServerConfig split;
+  split.registry = &net_only;
+  StartServer(split);
+  auto client = Dial();
+  ASSERT_TRUE(client.ok());
+  ASSERT_TRUE(client->Recommend(1, 0, 5).ok());
+  auto stats = client->Stats();
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(stats->CounterValue("mbr_engine_queries_total"), 1u);
+  EXPECT_EQ(stats->CounterValue("mbr_net_connections_accepted_total"), 1u);
+  server_->RequestStop();
+  server_->Wait();
+  server_.reset();
+
+  StartServer({});  // net series land in the engine's registry
+  client = Dial();
+  ASSERT_TRUE(client.ok());
+  ASSERT_TRUE(client->Recommend(1, 0, 5).ok());
+  stats = client->Stats();
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(stats->CounterValue("mbr_engine_queries_total"), 1u);
+  EXPECT_EQ(stats->CounterValue("mbr_net_connections_accepted_total"), 1u);
 }
 
 TEST_F(NetServerTest, OverloadBurstShedsWithOverloadedReplies) {
@@ -187,7 +251,7 @@ TEST_F(NetServerTest, OverloadBurstShedsWithOverloadedReplies) {
     auto r = busy->RecommendBatch(big);
     EXPECT_TRUE(r.ok()) << r.status().ToString();
   });
-  while (server_->counters().requests < 1) {
+  while (Counted("mbr_net_requests_total") < 1) {
     std::this_thread::yield();
   }
 
@@ -205,7 +269,7 @@ TEST_F(NetServerTest, OverloadBurstShedsWithOverloadedReplies) {
 
   auto stats = prober->Stats();
   ASSERT_TRUE(stats.ok());
-  EXPECT_GE(stats->shed_overload, 1u);
+  EXPECT_GE(stats->CounterValue("mbr_net_shed_overload_total"), 1u);
 }
 
 TEST_F(NetServerTest, ExcludeListTravelsTheWire) {
@@ -253,12 +317,12 @@ TEST_F(NetServerTest, ClientDeadlineShedsQueuedRequests) {
     // Snapshot before spawning: if the batch lands (and is counted) before
     // the snapshot, `requests <= admitted` holds forever and the wait below
     // never exits — an easy reordering on a single hardware thread.
-    const uint64_t admitted = server_->counters().requests;
+    const uint64_t admitted = Counted("mbr_net_requests_total");
     std::thread batch_thread([&busy, &big] {
       auto r = busy->RecommendBatch(big);
       EXPECT_TRUE(r.ok()) << r.status().ToString();
     });
-    while (server_->counters().requests <= admitted) {
+    while (Counted("mbr_net_requests_total") <= admitted) {
       std::this_thread::yield();
     }
     // The single dispatcher is busy with the batch; a 1 ms deadline expires
@@ -277,7 +341,7 @@ TEST_F(NetServerTest, ClientDeadlineShedsQueuedRequests) {
 
   auto stats = prober->Stats();
   ASSERT_TRUE(stats.ok());
-  EXPECT_GE(stats->shed_deadline, 1u);
+  EXPECT_GE(stats->CounterValue("mbr_net_shed_deadline_total"), 1u);
 }
 
 TEST_F(NetServerTest, MetricsOpReturnsPrometheusText) {
@@ -308,7 +372,7 @@ TEST_F(NetServerTest, WrongVersionFrameGetsUnsupportedVersion) {
                      uint16_t{kProtocolVersion + 1}, uint16_t{0xFFFF}}) {
     wiretest::ExpectWrongVersionRefused(server_->port(), v);
   }
-  EXPECT_GE(server_->counters().protocol_errors, 4u);
+  EXPECT_GE(Counted("mbr_net_protocol_errors_total"), 4u);
   // The refusals cost only their own connections.
   auto client = Dial();
   ASSERT_TRUE(client.ok());
@@ -402,10 +466,10 @@ TEST_F(NetServerTest, RequestStopIsIdempotentAndDrains) {
   server_->RequestStop();
   server_->Wait();
   EXPECT_FALSE(server_->running());
-  const ServerCounters counters = server_->counters();
-  EXPECT_EQ(counters.accepted, 1u);
-  EXPECT_EQ(counters.closed, 1u);
-  EXPECT_EQ(counters.requests, 1u);
+  const obs::MetricsSnapshot stats = server_->StatsNow();
+  EXPECT_EQ(stats.CounterValue("mbr_net_connections_accepted_total"), 1u);
+  EXPECT_EQ(stats.CounterValue("mbr_net_connections_closed_total"), 1u);
+  EXPECT_EQ(stats.CounterValue("mbr_net_requests_total"), 1u);
 }
 
 TEST_F(NetServerTest, ConnectionCapRefusesExtraClients) {
@@ -424,7 +488,7 @@ TEST_F(NetServerTest, ConnectionCapRefusesExtraClients) {
   if (c.ok()) {
     EXPECT_FALSE(c->Ping().ok());
   }
-  EXPECT_GE(server_->counters().refused, 1u);
+  EXPECT_GE(Counted("mbr_net_connections_refused_total"), 1u);
 }
 
 // ---- The served_tier byte over a live server. ----
@@ -474,9 +538,12 @@ TEST_F(NetServerTest, LadderEngineStampsItsTierOnWireReplies) {
 
   auto stats = client->Stats();
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_EQ(stats->tier_approx, 1u);
-  EXPECT_EQ(stats->tier_exact, 0u);
-  EXPECT_EQ(stats->degraded, 1u);
+  auto tier = [&stats](const char* t) {
+    return stats->CounterValue("mbr_engine_tier_served_total", {{"tier", t}});
+  };
+  EXPECT_EQ(tier("approx"), 1u);
+  EXPECT_EQ(tier("exact"), 0u);
+  EXPECT_EQ(stats->CounterValue("mbr_engine_degraded_total"), 1u);
 }
 
 }  // namespace

@@ -69,14 +69,103 @@ TEST(InstrumentTest, HistogramCountsSumAndBuckets) {
 
 TEST(InstrumentTest, PercentileLowerBoundPins) {
   Histogram h;
-  EXPECT_DOUBLE_EQ(h.PercentileLowerBound(0.5), 0.0);  // empty
+  EXPECT_DOUBLE_EQ(h.TakeSnapshot().PercentileLowerBound(0.5), 0.0);  // empty
   // 90 samples in bucket 3 ([8,16)), 10 in bucket 7 ([128,256)).
   for (int i = 0; i < 90; ++i) h.Record(9);
   for (int i = 0; i < 10; ++i) h.Record(200);
-  EXPECT_DOUBLE_EQ(h.PercentileLowerBound(0.50), 8.0);
-  EXPECT_DOUBLE_EQ(h.PercentileLowerBound(0.90), 8.0);
-  EXPECT_DOUBLE_EQ(h.PercentileLowerBound(0.95), 128.0);
-  EXPECT_DOUBLE_EQ(h.PercentileLowerBound(0.99), 128.0);
+  const Histogram::Snapshot s = h.TakeSnapshot();
+  EXPECT_DOUBLE_EQ(s.PercentileLowerBound(0.50), 8.0);
+  EXPECT_DOUBLE_EQ(s.PercentileLowerBound(0.90), 8.0);
+  EXPECT_DOUBLE_EQ(s.PercentileLowerBound(0.95), 128.0);
+  EXPECT_DOUBLE_EQ(s.PercentileLowerBound(0.99), 128.0);
+}
+
+// Percentile readout over a snapshot's raw buckets (the inputs the
+// engine's STATS percentiles are computed from).
+TEST(SnapshotPercentileTest, OneMicrosecondStreamReportsOne) {
+  Histogram::Snapshot s;
+  s.buckets[Log2Bucket(1)] = 1000;
+  EXPECT_EQ(s.PercentileLowerBound(0.5), 1.0);
+  EXPECT_EQ(s.PercentileLowerBound(0.99), 1.0);
+}
+
+TEST(SnapshotPercentileTest, SplitStreamReportsBucketLowerBounds) {
+  Histogram::Snapshot s;
+  s.buckets[0] = 50;  // 1 µs samples
+  s.buckets[3] = 50;  // 8–15 µs samples
+  EXPECT_EQ(s.PercentileLowerBound(0.25), 1.0);
+  EXPECT_EQ(s.PercentileLowerBound(0.75), 8.0);
+  EXPECT_EQ(s.PercentileLowerBound(1.0), 8.0);
+}
+
+TEST(SnapshotPercentileTest, EmptyHistogramIsZero) {
+  Histogram::Snapshot s;
+  EXPECT_EQ(s.PercentileLowerBound(0.5), 0.0);
+}
+
+TEST(MetricsSnapshotTest, TakeSnapshotCoversEveryKindWithLookups) {
+  Registry r;
+  r.GetCounter("t_total", "h")->Increment(3);
+  r.GetCounter("t_total", "h", {{"b", "2"}, {"a", "1"}})->Increment(5);
+  r.GetGauge("t_gauge", "h")->Set(-4);
+  r.GetHistogram("t_lat", "h")->Record(8);
+  const MetricsSnapshot s = r.TakeSnapshot();
+  ASSERT_EQ(s.counters.size(), 2u);
+  ASSERT_EQ(s.gauges.size(), 1u);
+  ASSERT_EQ(s.histograms.size(), 1u);
+  EXPECT_EQ(s.CounterValue("t_total"), 3u);
+  EXPECT_EQ(s.CounterValue("t_total", {{"a", "1"}, {"b", "2"}}), 5u);
+  EXPECT_EQ(s.GaugeValue("t_gauge"), -4);
+  EXPECT_EQ(s.HistogramValue("t_lat").count, 1u);
+  EXPECT_EQ(s.HistogramValue("t_lat").buckets[3], 1u);
+  // Absent series read as zero / empty.
+  EXPECT_EQ(s.CounterValue("t_missing_total"), 0u);
+  EXPECT_EQ(s.CounterValue("t_total", {{"a", "9"}}), 0u);
+  EXPECT_EQ(s.GaugeValue("t_missing"), 0);
+  EXPECT_EQ(s.HistogramValue("t_missing").count, 0u);
+}
+
+TEST(MetricsSnapshotTest, MergeSumsCountersAndBucketsAndMaxesGauges) {
+  Registry a;
+  a.GetCounter("t_total", "h")->Increment(2);
+  a.GetGauge("t_epoch", "h")->Set(7);
+  a.GetHistogram("t_lat", "h")->Record(1);
+  Registry b;
+  b.GetCounter("t_total", "h")->Increment(5);
+  b.GetCounter("t_only_b_total", "h", {{"k", "v"}})->Increment(1);
+  b.GetGauge("t_epoch", "h")->Set(3);
+  b.GetHistogram("t_lat", "h")->Record(1);
+  b.GetHistogram("t_lat", "h")->Record(600);
+
+  MetricsSnapshot m = a.TakeSnapshot();
+  m.Merge(b.TakeSnapshot());
+  EXPECT_EQ(m.CounterValue("t_total"), 7u);
+  EXPECT_EQ(m.CounterValue("t_only_b_total", {{"k", "v"}}), 1u);
+  EXPECT_EQ(m.GaugeValue("t_epoch"), 7);
+  const Histogram::Snapshot lat = m.HistogramValue("t_lat");
+  EXPECT_EQ(lat.count, 3u);
+  EXPECT_EQ(lat.sum, 602u);
+  EXPECT_EQ(lat.buckets[0], 2u);
+  EXPECT_EQ(lat.buckets[Log2Bucket(600)], 1u);
+  EXPECT_EQ(m.counters.size(), 2u);  // one series per key, not per source
+}
+
+TEST(MetricsSnapshotTest, MergedHistogramGivesFleetPercentiles) {
+  // One shard served 99 queries at 1 µs, another 1 at 600 µs. The fleet
+  // p50 is 1 µs; taking the max of per-shard percentiles would say 512.
+  MetricsSnapshot fleet;
+  MetricsSnapshot shard0;
+  shard0.histograms.push_back({"t_lat", {}, {}});
+  shard0.histograms[0].value.buckets[0] = 99;
+  MetricsSnapshot shard1;
+  shard1.histograms.push_back({"t_lat", {}, {}});
+  shard1.histograms[0].value.buckets[9] = 1;
+  fleet.Merge(shard0);
+  fleet.Merge(shard1);
+  const Histogram::Snapshot lat = fleet.HistogramValue("t_lat");
+  EXPECT_EQ(lat.PercentileLowerBound(0.50), 1.0);
+  EXPECT_EQ(lat.PercentileLowerBound(0.99), 1.0);
+  EXPECT_EQ(lat.PercentileLowerBound(1.0), 512.0);
 }
 
 TEST(RegistryTest, ReRegistrationReturnsTheSameHandle) {

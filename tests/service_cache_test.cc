@@ -18,6 +18,12 @@
 namespace mbr::service {
 namespace {
 
+// One engine counter, read through the registry snapshot.
+uint64_t Counted(QueryEngine& engine, std::string_view name,
+                 const obs::Labels& labels = {}) {
+  return engine.registry().TakeSnapshot().CounterValue(name, labels);
+}
+
 using graph::GraphBuilder;
 using graph::LabeledGraph;
 using graph::NodeId;
@@ -52,9 +58,9 @@ TEST(ServiceCacheTest, RepeatQueryHitsCache) {
   auto first = engine.TopN(0, kTopic, 5).value();
   auto second = engine.TopN(0, kTopic, 5).value();
   EXPECT_EQ(first, second);
-  EngineStats s = engine.Stats();
-  EXPECT_EQ(s.cache_misses, 1u);
-  EXPECT_EQ(s.cache_hits, 1u);
+  const obs::MetricsSnapshot s = engine.registry().TakeSnapshot();
+  EXPECT_EQ(s.CounterValue("mbr_engine_cache_misses_total"), 1u);
+  EXPECT_EQ(s.CounterValue("mbr_engine_cache_hits_total"), 1u);
 }
 
 TEST(ServiceCacheTest, DifferentTopNIsADifferentCacheEntry) {
@@ -63,7 +69,7 @@ TEST(ServiceCacheTest, DifferentTopNIsADifferentCacheEntry) {
   QueryEngine engine(g, auth, topics::TwitterSimilarity(), CachedConfig());
   engine.TopN(0, kTopic, 5);
   engine.TopN(0, kTopic, 1);  // must not be served from the n=5 entry
-  EXPECT_EQ(engine.Stats().cache_misses, 2u);
+  EXPECT_EQ(Counted(engine, "mbr_engine_cache_misses_total"), 2u);
   EXPECT_EQ(engine.TopN(0, kTopic, 1).value().size(), 1u);
 }
 
@@ -80,13 +86,13 @@ TEST(ServiceCacheTest, DynamicInsertionInvalidatesAndNewEdgeIsServed) {
   auto before = engine.TopN(0, kTopic, 5).value();
   for (const auto& r : before) EXPECT_NE(r.id, 3u);  // 3 unreachable
   engine.TopN(0, kTopic, 5);
-  ASSERT_EQ(engine.Stats().cache_hits, 1u);
+  ASSERT_EQ(Counted(engine, "mbr_engine_cache_hits_total"), 1u);
   const uint64_t epoch_before = engine.params_epoch();
 
   // The churn: 1 -> 3 appears.
   ASSERT_TRUE(delta.AddEdge(1, 3, TopicSet::Single(kTopic)));
   EXPECT_EQ(engine.params_epoch(), epoch_before + 1);
-  EXPECT_EQ(engine.Stats().invalidations, 1u);
+  EXPECT_EQ(Counted(engine, "mbr_engine_invalidations_total"), 1u);
 
   // Serve from the materialised post-churn snapshot.
   LabeledGraph current = delta.Materialize();
@@ -94,9 +100,9 @@ TEST(ServiceCacheTest, DynamicInsertionInvalidatesAndNewEdgeIsServed) {
   engine.Rebind(current, current_auth);
 
   auto after = engine.TopN(0, kTopic, 5).value();
-  EngineStats s = engine.Stats();
+  const obs::MetricsSnapshot s = engine.registry().TakeSnapshot();
   // The repeat of a previously-cached query must MISS: its epoch changed.
-  EXPECT_EQ(s.cache_hits, 1u);
+  EXPECT_EQ(s.CounterValue("mbr_engine_cache_hits_total"), 1u);
   bool found = false;
   for (const auto& r : after) found = found || r.id == 3u;
   EXPECT_TRUE(found) << "freshly inserted edge 1->3 not reflected";
@@ -110,9 +116,9 @@ TEST(ServiceCacheTest, InvalidateAloneForcesMissButSameResult) {
   engine.Invalidate();
   auto b = engine.TopN(0, kTopic, 5).value();
   EXPECT_EQ(a, b);  // same graph, same params -> identical list
-  EngineStats s = engine.Stats();
-  EXPECT_EQ(s.cache_hits, 0u);
-  EXPECT_EQ(s.cache_misses, 2u);
+  const obs::MetricsSnapshot s = engine.registry().TakeSnapshot();
+  EXPECT_EQ(s.CounterValue("mbr_engine_cache_hits_total"), 0u);
+  EXPECT_EQ(s.CounterValue("mbr_engine_cache_misses_total"), 2u);
 }
 
 // Dead-epoch purge regression (ISSUE 7 satellite). Before the fix,
@@ -132,7 +138,7 @@ TEST(ServiceCacheTest, InvalidatePurgesDeadEpochEntries) {
     engine.TopN(u, kTopic, 5);
     engine.TopN(u, kTopic, 2);
   }
-  ASSERT_EQ(engine.Stats().cache_misses, 6u);
+  ASSERT_EQ(Counted(engine, "mbr_engine_cache_misses_total"), 6u);
   ASSERT_EQ(purged->Value(), 0u);
 
   // The epoch bump must evict all 6 now-unreachable entries at once.
@@ -154,7 +160,7 @@ TEST(ServiceCacheTest, InvalidatePurgesDeadEpochEntries) {
   auto a = engine.TopN(0, kTopic, 5).value();
   auto b = engine.TopN(0, kTopic, 5).value();
   EXPECT_EQ(a, b);
-  EXPECT_EQ(engine.Stats().cache_hits, 1u);
+  EXPECT_EQ(Counted(engine, "mbr_engine_cache_hits_total"), 1u);
 }
 
 TEST(ServiceCacheTest, RemovalAlsoFiresTheListener) {
@@ -165,10 +171,10 @@ TEST(ServiceCacheTest, RemovalAlsoFiresTheListener) {
   dynamic::DeltaGraph delta(&base);
   delta.SetChangeListener([&engine] { engine.Invalidate(); });
   ASSERT_TRUE(delta.RemoveEdge(1, 2));
-  EXPECT_EQ(engine.Stats().invalidations, 1u);
+  EXPECT_EQ(Counted(engine, "mbr_engine_invalidations_total"), 1u);
   // No-op mutations must not fire.
   EXPECT_FALSE(delta.RemoveEdge(1, 2));
-  EXPECT_EQ(engine.Stats().invalidations, 1u);
+  EXPECT_EQ(Counted(engine, "mbr_engine_invalidations_total"), 1u);
 }
 
 // ---------- Epoch-claim integrity (ISSUE 6 satellite regression) ----------
@@ -196,7 +202,7 @@ TEST(ServiceCacheTest, EpochClaimMatchesGraphAcrossRebind) {
   auto r0_hit = engine.Recommend(core::Query::TopN(0, kTopic, 5));
   ASSERT_TRUE(r0_hit.ok());
   EXPECT_EQ(r0_hit.value().meta.graph_epoch, 0u);
-  ASSERT_EQ(engine.Stats().cache_hits, 1u);
+  ASSERT_EQ(Counted(engine, "mbr_engine_cache_hits_total"), 1u);
 
   // Rebind to a graph where node 3 is reachable: epoch moves, and the
   // repeat query must both miss and carry the new epoch.

@@ -18,6 +18,12 @@
 namespace mbr::service {
 namespace {
 
+// One engine counter, read through the registry snapshot.
+uint64_t Counted(QueryEngine& engine, std::string_view name,
+                 const obs::Labels& labels = {}) {
+  return engine.registry().TakeSnapshot().CounterValue(name, labels);
+}
+
 using util::ScoredId;
 
 class QueryEngineTest : public ::testing::Test {
@@ -86,10 +92,11 @@ TEST_F(QueryEngineTest, EightThreadsMatchSequentialOracle) {
       ExpectMatchesOracle(q, got[th][i]);
     }
   }
-  EngineStats s = engine.Stats();
-  EXPECT_EQ(s.queries, static_cast<uint64_t>(kThreads) * kPerThread);
-  EXPECT_EQ(s.cache_hits + s.cache_misses, s.queries);
-  EXPECT_GT(s.cache_hits, 0u);  // only 90 distinct queries among 320
+  const uint64_t queries = Counted(engine, "mbr_engine_queries_total");
+  const uint64_t hits = Counted(engine, "mbr_engine_cache_hits_total");
+  EXPECT_EQ(queries, static_cast<uint64_t>(kThreads) * kPerThread);
+  EXPECT_EQ(hits + Counted(engine, "mbr_engine_cache_misses_total"), queries);
+  EXPECT_GT(hits, 0u);  // only 90 distinct queries among 320
 }
 
 TEST_F(QueryEngineTest, RecommendManyPreservesInputOrder) {
@@ -106,11 +113,11 @@ TEST_F(QueryEngineTest, RecommendManyPreservesInputOrder) {
     ASSERT_TRUE(results[i].ok()) << results[i].status().ToString();
     ExpectMatchesOracle(batch[i], results[i].value().ranking.entries);
   }
-  EngineStats s = engine.Stats();
-  EXPECT_EQ(s.batches, 1u);
-  EXPECT_EQ(s.queries, batch.size());
-  EXPECT_EQ(s.cache_hits, 0u);
-  EXPECT_EQ(s.cache_misses, batch.size());
+  const obs::MetricsSnapshot s = engine.registry().TakeSnapshot();
+  EXPECT_EQ(s.CounterValue("mbr_engine_batches_total"), 1u);
+  EXPECT_EQ(s.CounterValue("mbr_engine_queries_total"), batch.size());
+  EXPECT_EQ(s.CounterValue("mbr_engine_cache_hits_total"), 0u);
+  EXPECT_EQ(s.CounterValue("mbr_engine_cache_misses_total"), batch.size());
 }
 
 TEST_F(QueryEngineTest, EmptyBatchIsANoOp) {
@@ -119,7 +126,7 @@ TEST_F(QueryEngineTest, EmptyBatchIsANoOp) {
   QueryEngine engine(ds_.graph, *auth_, topics::TwitterSimilarity(), ec);
   auto results = engine.RecommendMany({});
   EXPECT_TRUE(results.empty());
-  EXPECT_EQ(engine.Stats().queries, 0u);
+  EXPECT_EQ(Counted(engine, "mbr_engine_queries_total"), 0u);
 }
 
 TEST_F(QueryEngineTest, LandmarkModeServesApproximation) {
@@ -165,13 +172,15 @@ TEST_F(QueryEngineTest, LatencyHistogramCoversEveryQuery) {
   for (uint32_t i = 0; i < 32; ++i) batch.push_back(MakeQuery(i % 8));
   engine.RecommendMany(batch);
   engine.RecommendMany(batch);  // warm repeat
-  EngineStats s = engine.Stats();
+  const obs::MetricsSnapshot s = engine.registry().TakeSnapshot();
   uint64_t histogram_total = 0;
-  for (uint64_t c : s.latency_log2_us) histogram_total += c;
-  EXPECT_EQ(histogram_total, s.queries);
-  EXPECT_GT(s.LatencyPercentileMicros(0.5), 0.0);
-  EXPECT_GE(s.LatencyPercentileMicros(0.99),
-            s.LatencyPercentileMicros(0.5));
+  const obs::Histogram::Snapshot latency =
+      s.HistogramValue("mbr_engine_latency_us");
+  for (uint64_t c : latency.buckets) histogram_total += c;
+  EXPECT_EQ(histogram_total, s.CounterValue("mbr_engine_queries_total"));
+  EXPECT_GT(latency.PercentileLowerBound(0.5), 0.0);
+  EXPECT_GE(latency.PercentileLowerBound(0.99),
+            latency.PercentileLowerBound(0.5));
 }
 
 }  // namespace

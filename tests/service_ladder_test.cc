@@ -27,6 +27,12 @@
 namespace mbr::service {
 namespace {
 
+// One engine counter, read through the registry snapshot.
+uint64_t Counted(QueryEngine& engine, std::string_view name,
+                 const obs::Labels& labels = {}) {
+  return engine.registry().TakeSnapshot().CounterValue(name, labels);
+}
+
 using core::Tier;
 using util::ScoredId;
 
@@ -108,9 +114,11 @@ TEST_F(LadderTest, UnpressuredServesExactBytes) {
     ExpectSameBytes(r.value().ranking.entries,
                     exact_oracle_->TopN(q.user, q.topic, q.top_n), "exact");
   }
-  EngineStats s = engine.Stats();
-  EXPECT_EQ(s.tier_served[0], 12u);
-  EXPECT_EQ(s.degraded, 0u);
+  const obs::MetricsSnapshot s = engine.registry().TakeSnapshot();
+  EXPECT_EQ(
+      s.CounterValue("mbr_engine_tier_served_total", {{"tier", "exact"}}),
+      12u);
+  EXPECT_EQ(s.CounterValue("mbr_engine_degraded_total"), 0u);
 }
 
 // approx_at = 0 pins the pressure signal at the approx rung: every reply
@@ -126,9 +134,12 @@ TEST_F(LadderTest, ApproxTierMatchesApproxRecommenderBytes) {
     ExpectSameBytes(r.value().ranking.entries,
                     approx_oracle_->TopN(q.user, q.topic, q.top_n), "approx");
   }
-  EngineStats s = engine.Stats();
-  EXPECT_EQ(s.tier_served[1], 12u);
-  EXPECT_EQ(s.degraded, 12u);  // every reply was below the exact base tier
+  const obs::MetricsSnapshot s = engine.registry().TakeSnapshot();
+  EXPECT_EQ(
+      s.CounterValue("mbr_engine_tier_served_total", {{"tier", "approx"}}),
+      12u);
+  // Every reply was below the exact base tier.
+  EXPECT_EQ(s.CounterValue("mbr_engine_degraded_total"), 12u);
 }
 
 // A pinned min_tier = kExact opts the query out of the ladder even when
@@ -190,7 +201,9 @@ TEST_F(LadderTest, StaleReplyClaimsDeadEpochWithDeadGenerationBytes) {
   EXPECT_LT(stale.value().meta.graph_epoch, engine.params_epoch());
   ExpectSameBytes(stale.value().ranking.entries, dead_bytes, "stale");
 
-  EXPECT_EQ(engine.Stats().tier_served[2], 1u);
+  EXPECT_EQ(
+      Counted(engine, "mbr_engine_tier_served_total", {{"tier", "stale"}}),
+      1u);
 }
 
 // Generations older than stale_keep_epochs are purged: the stale rung
@@ -241,7 +254,7 @@ TEST_F(LadderTest, LandmarkOnlyEngineAlwaysReportsApprox) {
   EXPECT_EQ(hit.value().meta.served_tier, Tier::kApprox);
   EXPECT_TRUE(hit.value().meta.cache_hit);
   // base-tier replies are not "degraded".
-  EXPECT_EQ(engine.Stats().degraded, 0u);
+  EXPECT_EQ(Counted(engine, "mbr_engine_degraded_total"), 0u);
 
   engine.Invalidate();
   auto after = engine.Recommend(core::Query::TopN(q.user, q.topic, q.top_n));

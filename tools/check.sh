@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Repo-wide check runner:
 #   1. tier-1: full build + full ctest suite       (build/)
-#   2. ASan:   serde + net + dynamic + hotpath + coord + slo
+#   2. ASan:   serde + obs + net + dynamic + hotpath + coord + slo
 #              + incremental                         (build-asan/)
 #   3. TSan:   obs + service + net + dynamic + coord + slo
 #              + incremental                         (build-tsan/)
@@ -16,21 +16,23 @@
 # labeled suites they exist to harden: byte-level parsers under ASan, the
 # metrics registry + concurrent engine + epoll server under TSan, the
 # floating-point scoring kernels + landmark composition + serving arithmetic
-# under UBSan. The `dynamic` label (mutation path, delta graph, landmark
-# repair) runs under both ASan and TSan: ASan for the mutation wire parsing,
-# TSan for mutators racing readers and the background repair thread. The
-# `hotpath` label (arena/flat-map scratch reuse, scorer differential suite)
-# runs under ASan so a buffer carved too small or a stale span surfaces as a
-# hard error rather than a wrong score. The `coord` label (shard plan serde,
-# router scatter-gather, reconnect backoff) runs under both ASan (wire and
-# artifact parsing) and TSan (router accept/connection threads against the
-# shard servers). The `slo` label (pressure monitor, degradation ladder)
-# runs under both ASan (stale-cache retention and tier bookkeeping) and TSan
-# (the lock-free PressureMonitor hammered from concurrent writers/readers).
-# The `incremental` label (O(Δ) mutation pipeline: row-patched
-# materialization, counter-snapshot authority, delta-aware rebind) runs
-# under both ASan (spliced CSR rows, spans into previous generations) and
-# TSan (the apply/rebind lock split against concurrent generation readers).
+# under UBSan. The `obs` label runs under ASan too: registry snapshots and
+# their merge feed the STATS series codec. The `dynamic` label (mutation
+# path, delta graph, landmark repair) runs under both ASan and TSan: ASan
+# for the mutation wire parsing, TSan for mutators racing readers and the
+# background repair thread. The `hotpath` label (arena/flat-map scratch
+# reuse, scorer differential suite) runs under ASan so a buffer carved too
+# small or a stale span surfaces as a hard error rather than a wrong score.
+# The `coord` label (shard plan serde, router scatter-gather, reconnect
+# backoff) runs under both ASan (wire and artifact parsing) and TSan (router
+# accept/connection threads against the shard servers). The `slo` label
+# (pressure monitor, degradation ladder) runs under both ASan (stale-cache
+# retention and tier bookkeeping) and TSan (the lock-free PressureMonitor
+# hammered from concurrent writers/readers). The `incremental` label (O(Δ)
+# mutation pipeline: row-patched materialization, counter-snapshot
+# authority, delta-aware rebind) runs under both ASan (spliced CSR rows,
+# spans into previous generations) and TSan (the apply/rebind lock split
+# against concurrent generation readers).
 #
 # bench-smoke runs the allocation-counting smoke gate of the zero-allocation
 # hot path (DESIGN.md §6.6): a warm exact query and a warm landmark query
@@ -92,13 +94,13 @@ run_bench_smoke() {
 
 case "$MODE" in
   tier1) run_tier1 ;;
-  asan)  run_sanitized address "$REPO/build-asan" 'serde|net|dynamic|hotpath|coord|slo|incremental' ;;
+  asan)  run_sanitized address "$REPO/build-asan" 'serde|obs|net|dynamic|hotpath|coord|slo|incremental' ;;
   tsan)  run_sanitized thread "$REPO/build-tsan" 'obs|service|net|dynamic|coord|slo|incremental' ;;
   ubsan) run_sanitized undefined "$REPO/build-ubsan" 'core|landmark|service' ;;
   bench-smoke) run_bench_smoke ;;
   all)
     run_tier1
-    run_sanitized address "$REPO/build-asan" 'serde|net|dynamic|hotpath|coord|slo|incremental'
+    run_sanitized address "$REPO/build-asan" 'serde|obs|net|dynamic|hotpath|coord|slo|incremental'
     run_sanitized thread "$REPO/build-tsan" 'obs|service|net|dynamic|coord|slo|incremental'
     run_sanitized undefined "$REPO/build-ubsan" 'core|landmark|service'
     run_bench_smoke

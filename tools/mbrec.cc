@@ -431,10 +431,12 @@ int CmdLoad(const Args& args) {
                 results[i].score);
   }
   if (results.empty()) std::printf("  (no reachable candidates)\n");
-  service::EngineStats stats = rep.engine->Stats();
+  const obs::MetricsSnapshot stats = rep.engine->registry().TakeSnapshot();
   std::printf("served %llu queries, p50 latency >= %.0f us\n",
-              static_cast<unsigned long long>(stats.queries),
-              stats.LatencyPercentileMicros(0.5));
+              static_cast<unsigned long long>(
+                  stats.CounterValue("mbr_engine_queries_total")),
+              stats.HistogramValue("mbr_engine_latency_us")
+                  .PercentileLowerBound(0.5));
   return 0;
 }
 
@@ -790,10 +792,12 @@ int CmdRoute(const Args& args) {
     std::this_thread::sleep_for(std::chrono::milliseconds(200));
     auto now = std::chrono::steady_clock::now();
     if (interval_s > 0 && now - last_line >= std::chrono::seconds(interval_s)) {
-      service::StatsSnapshot s = router.RollupStats();
-      std::printf("%s shards_up=%u/%u\n",
-                  service::FormatStatsLine(s).c_str(), s.shards_up,
-                  s.shards_total);
+      const obs::MetricsSnapshot s = router.RollupStats();
+      std::printf("%s shards_up=%lld/%lld\n",
+                  service::FormatStatsLine(s).c_str(),
+                  static_cast<long long>(s.GaugeValue("mbr_coord_shards_up")),
+                  static_cast<long long>(
+                      s.GaugeValue("mbr_coord_shards_total")));
       std::fflush(stdout);
       last_line = now;
     }
